@@ -19,6 +19,10 @@ __all__ = [
 
 # singular values below this fraction of the largest are treated as zero
 SV_ZERO_REL_TOL = 1e-12
+# prox_nuclear takes the Gram-matrix route only while sigma_1 <= this multiple
+# of the threshold: eigh(M^T M) squares the condition number, so the singular
+# values that survive the threshold lose accuracy as sigma_1/threshold grows
+GRAM_MAX_SV_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -62,12 +66,43 @@ def prox_l1(v, threshold: float):
 
 
 def prox_nuclear(M, threshold: float):
-    """Singular value soft threshold: argmin_L ||L - M||_F^2/2 + threshold*||L||_nuc."""
+    """Singular value soft threshold: argmin_L ||L - M||_F^2/2 + threshold*||L||_nuc.
+
+    Computed from one symmetric eigendecomposition of the smaller Gram matrix,
+    A^T A = V diag(sigma^2) V^T with A = M or M^T: the result is
+    (A V_k) diag((sigma - threshold)/sigma) V_k^T over the k singular values
+    above the threshold.  A zero threshold, or sigma_1 above
+    GRAM_MAX_SV_RATIO * threshold, takes the full SVD instead.
+    """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     M = _finite_array(M, "M")
     if M.ndim != 2:
         raise ValueError(f"M must be a matrix, got shape {M.shape}")
+    if threshold == 0 or M.size == 0:
+        return _prox_nuclear_svd(M, threshold)
+    wide = M.shape[0] < M.shape[1]
+    A = M.T if wide else M
+    try:
+        w, V = np.linalg.eigh(A.T @ A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise np.linalg.LinAlgError(
+            f"eigh failed in prox_nuclear: shape={M.shape}, fro={np.linalg.norm(M):.6g}: {exc}"
+        ) from exc
+    if w[-1] > (GRAM_MAX_SV_RATIO * threshold) ** 2:
+        return _prox_nuclear_svd(M, threshold)
+    keep = w > threshold * threshold
+    V = V[:, keep]
+    s = np.sqrt(w[keep])
+    shrunk = s - threshold
+    if shrunk.size:
+        shrunk[shrunk <= SV_ZERO_REL_TOL * shrunk[-1]] = 0.0
+    out = ((A @ V) * (shrunk / s)) @ V.T
+    return out.T if wide else out
+
+
+def _prox_nuclear_svd(M, threshold: float):
+    """prox_nuclear from a full SVD of a checked matrix M."""
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path

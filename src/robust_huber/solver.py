@@ -16,6 +16,7 @@ deterministic: identical inputs and config give bit-identical iterates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,6 +49,9 @@ class SolverConfig:
     objective_reference_margin: float = 1e-6
 
     def __post_init__(self):
+        # a float such as 1e3 would pass the bound and then fail inside range()
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.rel_tol > 0):

@@ -157,7 +157,18 @@ class LowRankCone:
         return nuclear_norm(M)
 
     def projection_norm(self, M) -> float:
-        return nuclear_norm(self.project_omega_bar(M))
+        M = np.asarray(M, dtype=float)
+        return self._omega_bar_norm(self.project_omega_bar(M), M)
+
+    def _omega_bar_norm(self, A, M) -> float:
+        """||A||_* for A = project_omega_bar(M).
+
+        A has rank <= 2r and its columns lie in span[U, M V], so with Q the
+        orthonormal factor of [U, M V], ||A||_* = ||Q^T A||_*: the SVD of a
+        2r x n matrix instead of an n x n one.
+        """
+        Q, _ = np.linalg.qr(np.hstack([self.col_basis, M @ self.row_basis]))
+        return nuclear_norm(Q.T @ A)
 
     def member(self, M, rtol: float = 1e-6) -> bool:
         return self.reg_norm(M) <= self.expansion * self.projection_norm(M) * (1 + rtol) + 1e-9
@@ -169,7 +180,8 @@ class LowRankCone:
             # pure low-rank element of the spans themselves
             A = self.col_basis @ rng.standard_normal((self.rank, self.rank)) @ self.row_basis.T
             return A
-        A = self.project_omega_bar(rng.standard_normal((n, n)))
+        M = rng.standard_normal((n, n))
+        A = self.project_omega_bar(M)
         if self.col_perp.shape[1] == 0 or self.row_perp.shape[1] == 0 or mode < 0.3:
             return A
         G = rng.standard_normal((self.col_perp.shape[1], self.row_perp.shape[1]))
@@ -179,7 +191,7 @@ class LowRankCone:
             return A
         t = 1.0 if mode < 0.5 else rng.random()
         # triangle inequality keeps A + cB inside the cone for this c
-        c = t * (self.expansion - 1.0) * nuclear_norm(A) / norm_B
+        c = t * (self.expansion - 1.0) * self._omega_bar_norm(A, M) / norm_B
         return A + c * B
 
 
@@ -240,18 +252,6 @@ def measure_contraction(cone, error_metric: Callable, trials: int, seed: int) ->
             raise ValueError("error metric degenerate (zero) on a sampled cone direction")
         worst = max(worst, reg / e)
     return worst
-
-
-def _regression_h(problem, constants: Optional[EstimatorConstants]) -> float:
-    if constants is not None and constants.huber_h_override:
-        return constants.huber_h_override
-    return 2.0
-
-
-def _pca_h(problem, constants: Optional[EstimatorConstants]) -> float:
-    if constants is not None and constants.huber_h_override:
-        return constants.huber_h_override
-    return problem.zeta + problem.rho_over_n
 
 
 def loss_gradient_at_truth(problem, h: Optional[float] = None):

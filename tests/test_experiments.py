@@ -690,6 +690,14 @@ def test_cli_missing_config(tmp_path):
     assert main(["sweep", "--config", missing]) == EXIT_CONFIG
 
 
+def test_cli_rejects_non_integer_max_iters(tmp_path):
+    ini = TINY_REGRESSION_INI.replace("max_iters = 500", "max_iters = 1e3")
+    cfg = write_config(tmp_path, "float_iters.ini", ini)
+    out = tmp_path / "float_iters.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cli_ambiguous_sections(tmp_path):
     cfg = write_config(
         tmp_path, "multi.ini", TINY_REGRESSION_INI + TINY_COMPLETION_INI

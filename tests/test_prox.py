@@ -16,6 +16,8 @@ from robust_huber import (
     prox_l1,
     prox_nuclear,
 )
+from robust_huber import prox as prox_module
+from robust_huber.prox import GRAM_MAX_SV_RATIO, _prox_nuclear_svd
 
 
 def scalar_soft_threshold_oracle(v, t):
@@ -146,6 +148,54 @@ def test_prox_nuclear_nonexpansive():
         t = rng.uniform(0, 5)
         lhs = np.linalg.norm(prox_nuclear(A, t) - prox_nuclear(B, t))
         assert lhs <= np.linalg.norm(A - B) + 1e-9
+
+
+@st.composite
+def prox_nuclear_inputs(draw):
+    """(M, threshold): square or rectangular M of any rank, the zero matrix
+    included, and thresholds from 0 through sigma_1/GRAM_MAX_SV_RATIO to
+    above sigma_1."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rank = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    M = scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    sigma_1 = np.linalg.norm(M, 2) if rank else scale
+    ratio = draw(
+        st.one_of(
+            st.just(np.inf),  # threshold 0
+            st.sampled_from([0.5, 1.0, 0.99 * GRAM_MAX_SV_RATIO, 1.01 * GRAM_MAX_SV_RATIO]),
+            st.floats(-1, 5).map(lambda e: 10.0**e),  # sigma_1/threshold
+        )
+    )
+    return M, sigma_1 / ratio
+
+
+@settings(max_examples=300, deadline=None)
+@given(prox_nuclear_inputs())
+def test_prox_nuclear_matches_full_svd(inputs):
+    M, t = inputs
+    diff = np.max(np.abs(prox_nuclear(M, t) - _prox_nuclear_svd(M, t)))
+    assert diff <= 1e-10 * max(1.0, np.linalg.norm(M))
+
+
+def test_prox_nuclear_takes_full_svd_at_zero_threshold_and_large_ratio(monkeypatch):
+    calls = []
+
+    def recording_svd(M, t):
+        calls.append(t)
+        return _prox_nuclear_svd(M, t)
+
+    monkeypatch.setattr(prox_module, "_prox_nuclear_svd", recording_svd)
+    M = np.diag([GRAM_MAX_SV_RATIO, 1.0, 0.5])
+    expected = np.diag([GRAM_MAX_SV_RATIO - 1, 0, 0])
+    np.testing.assert_allclose(prox_nuclear(M, 1.0), expected, atol=1e-12)
+    assert calls == []
+    expected = np.diag([GRAM_MAX_SV_RATIO - 0.9, 0.1, 0])
+    np.testing.assert_allclose(prox_nuclear(M, 0.9), expected, atol=1e-12)
+    assert calls == [0.9]
+    prox_nuclear(M, 0.0)
+    assert calls == [0.9, 0.0]
 
 
 def test_prox_nuclear_rejects_bad_input():

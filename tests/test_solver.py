@@ -283,6 +283,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
+        SolverConfig(max_iters=1e3)
+    with pytest.raises(ValueError):
         SolverConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(initial_step=-1.0)

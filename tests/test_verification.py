@@ -28,6 +28,7 @@ from robust_huber import (
     make_regression_instance,
     measure_contraction,
     measure_gradient_dual_norm,
+    nuclear_norm,
     estimate_pca,
     estimate_sparse_regression,
 )
@@ -94,6 +95,19 @@ def test_lowrank_cone_requires_orthonormal_basis():
     good = np.eye(4)[:, :2]
     with pytest.raises(ValueError):
         LowRankCone(col_basis=bad, row_basis=good)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_lowrank_projection_norm_from_rank_2r_factor(r):
+    rng = np.random.default_rng(30 + r)
+    for n in (4, 12, 40):
+        L = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+        cone = LowRankCone.from_truth(L, r=r)
+        U, V = cone.col_basis, cone.row_basis
+        # a generic matrix, one inside the spans, and one whose M V lies in span U
+        for M in (rng.standard_normal((n, n)), U @ rng.standard_normal((r, r)) @ V.T, U @ V.T):
+            full = nuclear_norm(cone.project_omega_bar(M))
+            assert cone.projection_norm(M) == pytest.approx(full, rel=1e-10)
 
 
 def test_lowrank_projection_idempotent_and_complement_orthogonal():

@@ -103,7 +103,13 @@ class SignalSpec:
 
 
 def gen_gaussian_design(n: int, d: int, sigma, seed: int) -> np.ndarray:
-    """Rows i.i.d. N(0, sigma); sigma must be symmetric positive definite."""
+    """Rows i.i.d. N(0, sigma); sigma must be symmetric positive definite.
+
+    sigma=None means the identity covariance: the standard-normal draw is
+    returned as is, the same bits that sigma=np.eye(d) gives.
+    """
+    if sigma is None:
+        return stream_rng(seed, _DESIGN).standard_normal((n, d))
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (d, d):
         raise ValueError(f"sigma must be {d}x{d}")
@@ -255,9 +261,10 @@ def make_regression_instance(
     seed: int,
     sigma: Optional[np.ndarray] = None,
 ) -> RegressionProblem:
-    """Gaussian design + sparse signal + entrywise noise, independent streams."""
-    if sigma is None:
-        sigma = np.eye(d)
+    """Gaussian design + sparse signal + entrywise noise, independent streams.
+
+    sigma=None draws an identity-covariance design.
+    """
     X = gen_gaussian_design(n, d, sigma, seed)
     beta, support = gen_sparse_signal(d, signal, seed)
     eta = gen_oblivious_noise_vector(n, noise, seed)

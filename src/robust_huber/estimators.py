@@ -12,6 +12,8 @@ and the matrix problem solves
     h = zeta + rho/n,  gamma = gamma_scale * sqrt(n) * (zeta + rho/n).
 
 gamma_scale defaults to 100; experiment configs record the value they use.
+The regression step is 1/L with L = sigma_1(X)^2, taken as the largest
+eigenvalue of the smaller Gram matrix (X^T X, or X X^T for a wide design).
 """
 
 from __future__ import annotations
@@ -169,7 +171,9 @@ def build_regression_composite(
     h = constants.huber_h_override or REGRESSION_HUBER_H
     params = HuberParams(h)
     gamma = constants.gamma_scale * np.sqrt(n * np.log(d))
-    lipschitz = float(np.linalg.norm(X, 2)) ** 2  # f'' <= 1 entrywise
+    # f'' <= 1 entrywise, so L = sigma_1(X)^2; a min(n, d)-sized eigvalsh, no SVD of X
+    gram = X.T @ X if n >= d else X @ X.T
+    lipschitz = float(np.linalg.eigvalsh(gram)[-1])
 
     def smooth_eval(beta):
         resid = y - X @ beta

@@ -21,6 +21,7 @@ import numpy as np
 
 from .datagen import stream_rng
 from .estimators import (
+    REGRESSION_HUBER_H,
     EstimatorConstants,
     PcaProblem,
     RegressionProblem,
@@ -259,7 +260,7 @@ def loss_gradient_at_truth(problem, h: Optional[float] = None):
     if isinstance(problem, RegressionProblem):
         if problem.beta_star is None:
             raise ValueError("problem carries no truth")
-        hh = h if h is not None else 2.0
+        hh = h if h is not None else REGRESSION_HUBER_H
         eta = problem.y - problem.X @ problem.beta_star
         return -(problem.X.T @ huber_loss_grad(eta, HuberParams(hh)))
     if isinstance(problem, PcaProblem):
@@ -318,7 +319,7 @@ def estimate_rsc(
         raise ValueError("trials must be >= 1")
 
     if isinstance(problem, RegressionProblem):
-        hh = h if h is not None else 2.0
+        hh = h if h is not None else REGRESSION_HUBER_H
         params = HuberParams(hh)
         eta = problem.y - problem.X @ problem.beta_star
         base = huber_loss(eta, params)

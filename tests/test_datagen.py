@@ -63,6 +63,20 @@ def test_design_rejects_bad_sigma():
         gen_gaussian_design(10, 3, np.eye(2), 103)
 
 
+@pytest.mark.parametrize("n", [5, 500, 2000])
+def test_identity_design_without_sigma_is_bitwise_the_eye_draw(n):
+    a = gen_gaussian_design(n, 100, None, 108)
+    b = gen_gaussian_design(n, 100, np.eye(100), 108)
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_correlated_design_is_its_cholesky_draw():
+    sigma = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
+    X = gen_gaussian_design(40, 3, sigma, 109)
+    Z = gen_gaussian_design(40, 3, None, 109)
+    np.testing.assert_array_equal(X, Z @ np.linalg.cholesky(sigma).T)
+
+
 def test_sparse_signal_basic_shapes():
     beta, support = gen_sparse_signal(4, SignalSpec(k=4, magnitude=2.5), 104)
     assert np.all(np.abs(beta) == 2.5)
@@ -240,6 +254,14 @@ def test_regression_instance_stream_isolation():
     np.testing.assert_array_equal(a.beta_star, b.beta_star)
     assert not np.array_equal(a.y, b.y)
     np.testing.assert_array_equal(a.y - a.X @ a.beta_star, a.y - a.X @ a.beta_star)
+
+
+def test_regression_instance_default_sigma_is_bitwise_identity():
+    sig, noise = SignalSpec(k=3), NoiseSpec(family="symmetric_mixture", alpha=0.5)
+    a = make_regression_instance(300, 40, sig, noise, 130)
+    b = make_regression_instance(300, 40, sig, noise, 130, sigma=np.eye(40))
+    for u, v in [(a.X, b.X), (a.y, b.y), (a.beta_star, b.beta_star)]:
+        np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
 
 
 def test_gaussian_design_instance_noise_independent_of_design():

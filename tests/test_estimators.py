@@ -205,6 +205,34 @@ def test_gamma_formulas():
     assert info["h"] == pytest.approx(2.0)
 
 
+def _lipschitz_designs():
+    rng = np.random.default_rng(57)
+    tall = rng.standard_normal((400, 12))
+    return {
+        "tall": tall,
+        "wide": rng.standard_normal((7, 30)),
+        "rank1": np.outer(rng.standard_normal(50), rng.standard_normal(9)),
+        "scaled_up": 1e3 * tall,
+        "scaled_down": 1e-3 * tall,
+    }
+
+
+@pytest.mark.parametrize("name", list(_lipschitz_designs()))
+def test_regression_lipschitz_matches_spectral_norm(name):
+    X = _lipschitz_designs()[name]
+    rp = RegressionProblem(X=X, y=np.zeros(X.shape[0]))
+    lipschitz = build_regression_composite(rp, EstimatorConstants())[1]["lipschitz"]
+    reference = np.linalg.norm(X, 2) ** 2
+    assert abs(lipschitz - reference) <= 1e-12 * reference
+
+
+def test_regression_lipschitz_of_zero_design():
+    for shape in [(20, 4), (4, 20)]:
+        rp = RegressionProblem(X=np.zeros(shape), y=np.zeros(shape[0]))
+        lipschitz = build_regression_composite(rp, EstimatorConstants())[1]["lipschitz"]
+        assert lipschitz == 0.0
+
+
 def test_h_override_changes_h_but_not_gamma():
     pp = PcaProblem(Y=np.zeros((30, 30)), rho_over_n=0.5, zeta=1.5)
     base_info = build_pca_composite(pp, EstimatorConstants(gamma_scale=2.0))[1]

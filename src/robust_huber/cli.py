@@ -23,6 +23,7 @@ from .estimators import (
     prediction_error,
 )
 from .experiments import (
+    NUMERIC_ERRORS as _NUMERIC_ERRORS,
     ExperimentSpec,
     build_instance,
     emit_csv,
@@ -31,19 +32,10 @@ from .experiments import (
     run_certificate,
     run_experiment,
 )
-from .solver import SolverDiverged
-from .verification import RscSamplingError
 
 EXIT_OK, EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
 _CONFIG_ERRORS = (OSError, ValueError, KeyError, TypeError, configparser.Error)
-_NUMERIC_ERRORS = (
-    SolverDiverged,
-    RscSamplingError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-    OverflowError,
-)
 
 
 def _load_spec(args) -> ExperimentSpec:
@@ -87,6 +79,7 @@ def cmd_solve(args) -> int:
         estimate, result = estimate_sparse_regression(problem, spec.constants, spec.solver)
         print(f"objective = {result.objective:.17g}")
         print(f"iterations = {result.iterations}")
+        print(f"converged = {int(result.converged)}")
         if problem.beta_star is not None:
             print(f"prediction_error_sq = {prediction_error(problem, estimate):.17g}")
             print(f"parameter_error_sq = {parameter_error(problem, estimate):.17g}")
@@ -95,6 +88,7 @@ def cmd_solve(args) -> int:
         estimate, result = estimate_pca(problem, spec.constants, spec.solver)
         print(f"objective = {result.objective:.17g}")
         print(f"iterations = {result.iterations}")
+        print(f"converged = {int(result.converged)}")
         if problem.L_star is not None:
             print(f"frobenius_error = {frobenius_error(problem, estimate):.17g}")
             print(f"dominated = {int(bool(result.reference_dominated))}")

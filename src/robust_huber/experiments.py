@@ -41,8 +41,8 @@ from .estimators import (
     prediction_error,
 )
 from .lowerbound import lb_xi_of_alpha, phase_trial
-from .solver import SolverConfig
-from .verification import CertificateParams, assemble_certificate
+from .solver import SolverConfig, SolverDiverged
+from .verification import CertificateParams, RscSamplingError, assemble_certificate
 
 __all__ = [
     "SCENARIOS",
@@ -70,6 +70,17 @@ SCENARIOS = (
 )
 
 _SOLVER_KEYS = ("max_iters", "rel_tol", "initial_step", "backtrack_factor")
+
+# numeric failures of one trial; the CLI exits with its numeric code on these
+NUMERIC_ERRORS = (
+    SolverDiverged,
+    RscSamplingError,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+    OverflowError,
+)
+# a trial that raises one of these becomes an error row; anything else is a bug
+_ROW_ERRORS = (ValueError, *NUMERIC_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -328,7 +339,7 @@ def _trial_worker(job) -> ResultRow:
     try:
         metrics, iterations, flags = _metrics_for(spec, p, iseed)
         tag = ""
-    except Exception as exc:  # recorded, run continues
+    except _ROW_ERRORS as exc:  # recorded, run continues
         metrics, iterations, flags = {}, 0, {}
         tag = f"{type(exc).__name__}: " + " ".join(str(exc).split())
     wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -358,10 +369,15 @@ def run_experiment(
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = []
-            for row in pool.map(_trial_worker, jobs):
-                if on_row is not None:
-                    on_row(row)
-                rows.append(row)
+            try:
+                for row in pool.map(_trial_worker, jobs):
+                    if on_row is not None:
+                        on_row(row)
+                    rows.append(row)
+            except BaseException:
+                # a bug in one trial should not wait out the rest of the sweep
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         rows = []
         for job in jobs:

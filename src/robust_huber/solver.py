@@ -85,6 +85,7 @@ class SolveResult:
     objective: float
     iterations: int
     residual: float
+    converged: bool  # the stopping residual met rel_tol; False on a cap hit
     reference_dominated: Optional[bool] = None
     history: list = field(default_factory=list, repr=False)
 
@@ -135,7 +136,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
 
     residual = _fixed_point_residual(problem, x, gx, step)
     if residual <= config.rel_tol:
-        return SolveResult(x, obj_x, 0, residual, history=history)
+        return SolveResult(x, obj_x, 0, residual, True, history=history)
 
     y, fy, gy = x, fx, gx
     t_mom = 1.0
@@ -164,7 +165,8 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         t_mom = t_next
         fy, gy = problem.smooth_eval(y)
 
-    return SolveResult(x, obj_x, iterations, residual, history=history)
+    converged = residual <= config.rel_tol
+    return SolveResult(x, obj_x, iterations, residual, converged, history=history)
 
 
 def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
@@ -219,7 +221,8 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         obj_best = obj_b
         x_best = x_b.copy()
         history.append(obj_best)
-    return SolveResult(x_best, obj_best, iterations, residual, history=history)
+    converged = residual <= config.rel_tol
+    return SolveResult(x_best, obj_best, iterations, residual, converged, history=history)
 
 
 def certify_against_reference(

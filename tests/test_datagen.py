@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, norm
 
 from robust_huber import (
     NoiseSpec,
@@ -21,6 +21,7 @@ from robust_huber import (
     stream_rng,
     trial_seed,
 )
+from robust_huber.datagen import _NOISE
 
 
 def symmetry_gap(x):
@@ -130,6 +131,15 @@ def test_gaussian_family_hits_target_inlier_rate():
 def test_gaussian_family_alpha_one_is_zero():
     spec = NoiseSpec(family="gaussian", alpha=1.0, zeta=1.0)
     np.testing.assert_array_equal(gen_oblivious_noise_vector(10, spec, 110), np.zeros(10))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.8, 0.9, 0.99])
+@pytest.mark.parametrize("zeta", [0.5, 1.0])
+def test_gaussian_family_is_bitwise_the_norm_ppf_draw(alpha, zeta):
+    n, seed = 1000, 117
+    eta = gen_oblivious_noise_vector(n, NoiseSpec("gaussian", alpha, zeta), seed)
+    ref = stream_rng(seed, _NOISE).normal(0.0, zeta / norm.ppf((1 + alpha) / 2), n)
+    np.testing.assert_array_equal(eta.view(np.uint64), ref.view(np.uint64))
 
 
 def test_vector_generator_rejects_matrix_family():

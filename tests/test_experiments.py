@@ -1,6 +1,9 @@
 """Tests for the batch experiment runner: specs, CSV round trips, scenario
 assertions, reports, and the command-line front end."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from robust_huber import EstimatorConstants, SolverConfig
 from robust_huber.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from robust_huber import experiments
 from robust_huber.experiments import (
     ExperimentSpec,
     ResultRow,
@@ -198,6 +202,17 @@ def test_run_experiment_captures_trial_errors():
     checks = dict_checks(scenario_assertions(spec, rows))
     assert checks["no_trial_errors"] is False
     assert checks["conditions_all_instances"] is False
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_experiment_raises_programming_errors(monkeypatch, threads):
+    def broken(spec, p, instance_seed):
+        raise TypeError("bug in a metrics helper")
+
+    monkeypatch.setattr(experiments, "_metrics_for", broken)
+    spec = tiny_regression_spec(grid={"n": [30, 40]}, trials_per_point=3)
+    with pytest.raises(TypeError, match="bug in a metrics helper"):
+        run_experiment(spec, threads=threads)
 
 
 def test_build_instance_unknown_family():
@@ -626,6 +641,7 @@ def test_cli_solve(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "objective = " in printed
     assert "prediction_error_sq = " in printed
+    assert "\nconverged = 1\n" in printed
     assert est.exists()
 
 
@@ -698,6 +714,14 @@ def test_cli_rejects_non_integer_max_iters(tmp_path):
     assert not out.exists()
 
 
+def test_cli_sweep_without_k_is_a_config_error(tmp_path):
+    ini = TINY_REGRESSION_INI.replace("k = 2\n", "")
+    cfg = write_config(tmp_path, "no_k.ini", ini)
+    out = tmp_path / "no_k.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cli_ambiguous_sections(tmp_path):
     cfg = write_config(
         tmp_path, "multi.ini", TINY_REGRESSION_INI + TINY_COMPLETION_INI
@@ -718,3 +742,17 @@ def test_cli_verify_without_alpha(tmp_path):
 def test_cli_phase_requires_phase_scenario(tmp_path):
     cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
     assert main(["phase", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only at the first Gaussian-family noise draw
+    code = (
+        "import robust_huber, robust_huber.cli, robust_huber.experiments, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -68,6 +68,7 @@ def test_fista_zero_data_stays_at_zero():
     problem = regression_composite(X, np.zeros(1), 2.0, 0.0)
     result = solve_fista(problem, SolverConfig(), np.zeros(1))
     assert result.iterations == 0
+    assert result.converged is True
     assert result.point[0] == 0.0
     assert result.objective == 0.0
 
@@ -162,6 +163,20 @@ def test_fista_raises_on_nonfinite_objective():
         solve_fista(problem, SolverConfig(), np.zeros(1))
 
 
+def test_fista_reports_convergence():
+    rng = np.random.default_rng(36)
+    X = rng.standard_normal((30, 4))
+    y = X @ rng.standard_normal(4) + rng.standard_normal(30)
+    problem = regression_composite(X, y, 2.0, 1.0)
+    step = 1.0 / np.linalg.norm(X, 2) ** 2
+    capped = solve_fista(problem, SolverConfig(max_iters=1, initial_step=step), np.zeros(4))
+    assert capped.iterations == 1
+    assert capped.converged is False
+    done = solve_fista(problem, SolverConfig(initial_step=step), np.zeros(4))
+    assert done.converged is True
+    assert done.residual <= SolverConfig().rel_tol
+
+
 # ---------------------------------------------------------------------------
 # solve_split
 
@@ -234,6 +249,18 @@ def test_split_deterministic():
     r2 = solve_split(problem, cfg, np.zeros((4, 4)))
     assert r1.objective == r2.objective
     np.testing.assert_array_equal(r1.point, r2.point)
+
+
+def test_split_reports_convergence():
+    rng = np.random.default_rng(40)
+    Y = rng.standard_normal((5, 5))
+    problem = pca_composite(Y, 1.0, 0.3, 1.0)
+    capped = solve_split(problem, SolverConfig(max_iters=1), np.zeros((5, 5)))
+    assert capped.iterations == 1
+    assert capped.converged is False
+    done = solve_split(problem, SolverConfig(rel_tol=1e-8, max_iters=5000), np.zeros((5, 5)))
+    assert done.iterations < 5000
+    assert done.converged is True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .huber import (
 )
 from .prox import (
     MaxNormBall,
-    RegWeight,
     dual_norm_linf,
     dual_norm_spectral,
     nuclear_norm,
@@ -82,13 +81,7 @@ from .verification import (
     measure_contraction,
     measure_gradient_dual_norm,
 )
-from .lowerbound import (
-    LowerBoundSpec,
-    lb_alpha_of_xi,
-    lb_xi_of_alpha,
-    run_phase_experiment,
-    summarize_phase,
-)
+from .lowerbound import lb_alpha_of_xi, lb_xi_of_alpha
 from .experiments import (
     SCENARIOS,
     ExperimentSpec,

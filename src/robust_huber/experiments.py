@@ -1,4 +1,10 @@
-"""Batch experiment runner: configs, seeded trials, CSV/report emission.
+"""Batch experiment runner: the scenario table, configs, seeded trials,
+CSV/report emission.
+
+Every scenario is one row of SCENARIOS: its instance builder, its per-trial
+metrics, its pass/fail checks, its plot axes and the parameter keys it reads.
+A spec is checked against its row when it is made, so a config with an
+unknown or a missing key fails at load, before any trial runs.
 
 A run is a pure function of (config bytes, seed): every trial derives its
 instance seed from (seed, grid point index, trial index), workers share
@@ -14,7 +20,7 @@ import csv
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -32,7 +38,6 @@ from .datagen import (
 )
 from .estimators import (
     EstimatorConstants,
-    PcaProblem,
     RegressionProblem,
     estimate_pca,
     estimate_sparse_regression,
@@ -40,12 +45,14 @@ from .estimators import (
     parameter_error,
     prediction_error,
 )
-from .lowerbound import lb_xi_of_alpha, phase_trial
+from .lowerbound import phase_instance, phase_trial
 from .solver import SolverConfig, SolverDiverged
 from .verification import CertificateParams, RscSamplingError, assemble_certificate
 
 __all__ = [
     "SCENARIOS",
+    "Scenario",
+    "Family",
     "ExperimentSpec",
     "ResultRow",
     "run_experiment",
@@ -57,17 +64,6 @@ __all__ = [
     "build_instance",
     "run_certificate",
 ]
-
-SCENARIOS = (
-    "regression_n_sweep",
-    "regression_alpha_sweep",
-    "regression_gaussian_design",
-    "pca_n_sweep",
-    "pca_alpha_sweep",
-    "matrix_completion",
-    "lowerbound_phase",
-    "meta_certificate",
-)
 
 _SOLVER_KEYS = ("max_iters", "rel_tol", "initial_step", "backtrack_factor")
 
@@ -85,7 +81,11 @@ _ROW_ERRORS = (ValueError, *NUMERIC_ERRORS)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One scenario with its grid, fixed parameters, and solver knobs."""
+    """One scenario with its grid, fixed parameters, and solver knobs.
+
+    Made only with the parameter keys its SCENARIOS row reads
+    (Scenario.check_keys); anything else raises ValueError here.
+    """
 
     scenario: str
     grid: dict
@@ -105,6 +105,7 @@ class ExperimentSpec:
             raise ValueError("trials_per_point must be >= 1")
         if not (0 < self.delta < 1):
             raise ValueError("delta must lie in (0, 1)")
+        SCENARIOS[self.scenario].check_keys(self.scenario, self.grid, self.params)
 
     @classmethod
     def from_config(cls, path, scenario: Optional[str] = None, seed: Optional[int] = None):
@@ -202,61 +203,87 @@ def grid_points(grid: dict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# per-trial execution
+# instance builders: (parameters, instance seed) -> problem.  Each one calls
+# its data generator through this module's globals at call time, so a wrapper
+# set on the module attribute sees every build.
+
+
+def _noise(p: dict) -> NoiseSpec:
+    return NoiseSpec(
+        family=p.get("noise_family", "symmetric_mixture"),
+        alpha=float(p["alpha"]),
+        zeta=float(p.get("zeta", 1.0)),
+        outlier_scale=float(p.get("outlier_scale", 100.0)),
+    )
+
+
+def _signal(p: dict) -> SignalSpec:
+    return SignalSpec(k=int(p["k"]), magnitude=float(p.get("magnitude", 1.0)))
+
+
+def _build_regression(p, instance_seed):
+    return make_regression_instance(int(p["n"]), int(p["d"]), _signal(p), _noise(p), instance_seed)
+
+
+def _build_gaussian_design(p, instance_seed):
+    return make_gaussian_design_instance(
+        int(p["n"]), int(p["d"]), _signal(p), float(p["alpha"]), instance_seed
+    )
+
+
+def _build_pca(p, instance_seed):
+    return make_pca_instance(
+        int(p["n"]),
+        int(p["r"]),
+        _noise(p),
+        float(p.get("rho_over_n", 1.0)),
+        instance_seed,
+        l_scale=float(p.get("l_scale", 1.0)),
+    )
+
+
+def _build_completion(p, instance_seed):
+    return gen_matrix_completion_scenario(
+        int(p["n"]),
+        int(p["r"]),
+        float(p["alpha"]),
+        float(p.get("zeta", 1.0)),
+        float(p.get("rho_over_n", 1.0)),
+        instance_seed,
+    )
+
+
+def _build_phase(p, instance_seed):
+    return phase_instance(int(p["n"]), int(p["r"]), float(p["alpha"]), instance_seed)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One kind of problem instance: its builder and the keys the builder reads."""
+
+    build: Callable[[dict, int], object]
+    required: frozenset
+    optional: frozenset = frozenset()
+
+
+_NOISE_KEYS = frozenset({"noise_family", "zeta", "outlier_scale"})
+_REGRESSION = Family(
+    _build_regression, frozenset({"n", "d", "k", "alpha"}), _NOISE_KEYS | {"magnitude"}
+)
+_PCA = Family(_build_pca, frozenset({"n", "r", "alpha"}), _NOISE_KEYS | {"rho_over_n", "l_scale"})
+# meta_certificate solves whichever of these its `family` parameter names
+FAMILIES = {"regression": _REGRESSION, "pca": _PCA}
+DEFAULT_FAMILY = "regression"
+
+
+# ---------------------------------------------------------------------------
+# per-trial execution: (spec, parameters, instance seed) ->
+# (metrics, iterations, flags)
 
 
 def build_instance(spec: ExperimentSpec, p: dict, instance_seed: int):
     """The problem object a given scenario solves, before solving it."""
-    sc = spec.scenario
-    if sc in ("regression_n_sweep", "regression_alpha_sweep") or (
-        sc == "meta_certificate" and p.get("family", "regression") == "regression"
-    ):
-        noise = NoiseSpec(
-            family=p.get("noise_family", "symmetric_mixture"),
-            alpha=float(p["alpha"]),
-            zeta=float(p.get("zeta", 1.0)),
-            outlier_scale=float(p.get("outlier_scale", 100.0)),
-        )
-        signal = SignalSpec(k=int(p["k"]), magnitude=float(p.get("magnitude", 1.0)))
-        return make_regression_instance(int(p["n"]), int(p["d"]), signal, noise, instance_seed)
-    if sc == "regression_gaussian_design":
-        signal = SignalSpec(k=int(p["k"]), magnitude=float(p.get("magnitude", 1.0)))
-        return make_gaussian_design_instance(
-            int(p["n"]), int(p["d"]), signal, float(p["alpha"]), instance_seed
-        )
-    if sc in ("pca_n_sweep", "pca_alpha_sweep") or (
-        sc == "meta_certificate" and p.get("family") == "pca"
-    ):
-        noise = NoiseSpec(
-            family=p.get("noise_family", "symmetric_mixture"),
-            alpha=float(p["alpha"]),
-            zeta=float(p.get("zeta", 1.0)),
-            outlier_scale=float(p.get("outlier_scale", 100.0)),
-        )
-        return make_pca_instance(
-            int(p["n"]),
-            int(p["r"]),
-            noise,
-            float(p.get("rho_over_n", 1.0)),
-            instance_seed,
-            l_scale=float(p.get("l_scale", 1.0)),
-        )
-    if sc == "matrix_completion":
-        return gen_matrix_completion_scenario(
-            int(p["n"]),
-            int(p["r"]),
-            float(p["alpha"]),
-            float(p.get("zeta", 1.0)),
-            float(p.get("rho_over_n", 1.0)),
-            instance_seed,
-        )
-    if sc == "lowerbound_phase":
-        xi = lb_xi_of_alpha(int(p["n"]), int(p["r"]), float(p["alpha"]))
-        noise = NoiseSpec(
-            family="lb_geometric_even", alpha=float(p["alpha"]), zeta=1.0, xi=xi
-        )
-        return make_pca_instance(int(p["n"]), int(p["r"]), noise, 1.0, instance_seed)
-    raise ValueError(f"no instance builder for scenario {sc!r}")
+    return SCENARIOS[spec.scenario].family_for(p).build(p, instance_seed)
 
 
 def run_certificate(spec: ExperimentSpec, p: dict, instance_seed: int):
@@ -322,14 +349,6 @@ def _certificate_metrics(spec, p, instance_seed):
     return metrics, result.iterations, flags
 
 
-def _metrics_for(spec, p, instance_seed):
-    if spec.scenario == "lowerbound_phase":
-        return _phase_metrics(spec, p, instance_seed)
-    if spec.scenario == "meta_certificate":
-        return _certificate_metrics(spec, p, instance_seed)
-    return _solve_metrics(spec, p, instance_seed)
-
-
 def _trial_worker(job) -> ResultRow:
     spec, point_idx, point, trial = job
     p = dict(spec.params)
@@ -337,7 +356,7 @@ def _trial_worker(job) -> ResultRow:
     iseed = trial_seed(spec.seed, point_idx, trial)
     t0 = time.perf_counter()
     try:
-        metrics, iterations, flags = _metrics_for(spec, p, iseed)
+        metrics, iterations, flags = SCENARIOS[spec.scenario].trial(spec, p, iseed)
         tag = ""
     except _ROW_ERRORS as exc:  # recorded, run continues
         metrics, iterations, flags = {}, 0, {}
@@ -447,14 +466,18 @@ def _schema(rows: Sequence[ResultRow]):
     return sorted(point_keys), sorted(metric_keys), sorted(flag_keys)
 
 
+def _csv_header(point_keys, metric_keys, flag_keys) -> list[str]:
+    return [
+        "scenario", *point_keys, "trial", *metric_keys, "iterations", *flag_keys,
+        "wall_ms", "error",
+    ]
+
+
 def emit_csv(rows: Sequence[ResultRow], path) -> None:
     """Deterministic CSV; wall_ms is zeroed so re-runs are byte-identical."""
     rows = sorted(rows, key=_row_sort_key)
     point_keys, metric_keys, flag_keys = _schema(rows)
-    header = (
-        ["scenario"] + point_keys + ["trial"] + metric_keys + ["iterations"]
-        + flag_keys + ["wall_ms", "error"]
-    )
+    header = _csv_header(point_keys, metric_keys, flag_keys)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -520,31 +543,12 @@ def parse_csv(path) -> list[ResultRow]:
     return rows
 
 
-_PLOT_AXES = {
-    "regression_n_sweep": ("n", "prediction_error_sq", True),
-    "regression_alpha_sweep": ("alpha", "prediction_error_sq", True),
-    "regression_gaussian_design": ("n", "prediction_error_sq", True),
-    "pca_n_sweep": ("n", "frobenius_error", True),
-    "pca_alpha_sweep": ("alpha", "frobenius_error", True),
-    "matrix_completion": ("alpha", "frobenius_error", False),
-    "lowerbound_phase": ("alpha", "rel_error", False),
-    "meta_certificate": ("instance", "error_value", False),
-}
-
-
 def _gnuplot_script(rows: Sequence[ResultRow], csv_path) -> Optional[str]:
-    if not rows:
+    if not rows or rows[0].scenario not in SCENARIOS:
         return None
     scenario = rows[0].scenario
-    axes = _PLOT_AXES.get(scenario)
-    if axes is None:
-        return None
-    x_field, y_field, loglog = axes
-    point_keys, metric_keys, flag_keys = _schema(rows)
-    header = (
-        ["scenario"] + point_keys + ["trial"] + metric_keys + ["iterations"]
-        + flag_keys + ["wall_ms", "error"]
-    )
+    x_field, y_field, loglog = SCENARIOS[scenario].plot
+    header = _csv_header(*_schema(rows))
     if x_field not in header or y_field not in header:
         return None
     ix = header.index(x_field) + 1
@@ -617,35 +621,112 @@ def emit_report(
 
 
 # ---------------------------------------------------------------------------
-# scenario-level pass/fail rules (shared by the CLI and the acceptance tests)
+# scenario-level pass/fail rules (shared by the CLI and the acceptance tests).
+# Each takes the spec's fixed parameters and the rows without errors.
 
 
-def _success_fractions(rows: Sequence[ResultRow]):
-    by_alpha: dict = {}
-    for row in rows:
-        if row.error:
-            continue
-        by_alpha.setdefault(row.point["alpha"], []).append(bool(row.flags.get("success")))
-    out = {}
-    for alpha, vals in sorted(by_alpha.items()):
-        out[alpha] = (float(np.mean(vals)), len(vals))
+def _no_checks(p: dict, rows: Sequence[ResultRow]) -> list:
+    return []
+
+
+def _regression_bounds(p, rows):
+    k, d, alpha = int(p["k"]), int(p["d"]), float(p["alpha"])
+    out = []
+    for n, med in median_by_point(rows, "n", "prediction_error_sq").items():
+        bound = 100.0 * k * log(d) / (alpha**2 * n)
+        out.append((f"median_pred_sq_at_n_{n}", med <= bound, f"{med:.6g} <= {bound:.6g}"))
     return out
 
 
-def _slope_check(name, rows, x_field, y_field, lo, hi, target):
+def _pca_bounds(p, rows):
+    r_rank, alpha = int(p["r"]), float(p["alpha"])
+    scale = float(p.get("zeta", 1.0)) + float(p.get("rho_over_n", 1.0))
+    out = []
+    for n, med in median_by_point(rows, "n", "frobenius_error").items():
+        bound = float(10.0 * np.sqrt(r_rank * n) / alpha * scale)
+        out.append((f"median_frob_at_n_{n}", med <= bound, f"{med:.6g} <= {bound:.6g}"))
+    return out
+
+
+def _success_fractions(p, rows: Sequence[ResultRow]):
+    """Success fraction and trial count per alpha, swept or fixed."""
+    by_alpha: dict = {}
+    for row in rows:
+        alpha = row.point.get("alpha", p.get("alpha"))
+        by_alpha.setdefault(alpha, []).append(bool(row.flags.get("success")))
+    return {alpha: (float(np.mean(v)), len(v)) for alpha, v in sorted(by_alpha.items())}
+
+
+def _phase_checks(p, rows):
+    fracs = _success_fractions(p, rows)
+    alphas = sorted(fracs)
+    if len(alphas) < 2:
+        return []
+    lo, hi = fracs[alphas[0]][0], fracs[alphas[-1]][0]
+    out = [
+        ("phase_low_alpha", lo <= 0.5, f"success {lo:.3f} <= 0.5"),
+        ("phase_high_alpha", hi >= 0.9, f"success {hi:.3f} >= 0.9"),
+    ]
+    monotone = True
+    worst = ""
+    for a, b in zip(alphas, alphas[1:]):
+        (pa, ta), (pb, tb) = fracs[a], fracs[b]
+        # Laplace-smoothed binomial sigmas so endpoint fractions of
+        # exactly 0 or 1 still get a nonzero noise allowance
+        sa = np.sqrt((pa * (1 - pa) + 1.0 / (ta + 2)) / ta)
+        sb = np.sqrt((pb * (1 - pb) + 1.0 / (tb + 2)) / tb)
+        slack = 2.0 * np.hypot(sa, sb)
+        if pb < pa - slack:
+            monotone = False
+            worst = f"drop {pa:.3f} -> {pb:.3f} at alpha {a:.4g} -> {b:.4g} exceeds 2 sigma {slack:.3f}"
+    out.append(("phase_monotone", monotone, worst or "within 2 sigma"))
+    return out
+
+
+_CONDITIONS = ("decomposability", "contraction", "gradient_bound",
+               "restricted_convexity", "radius_bound")
+
+
+def _meta_checks(p, rows):
+    all_flags = all(
+        all(r.flags.get(c, False) for c in _CONDITIONS) for r in rows
+    ) and len(rows) > 0
+    cone = all(r.flags.get("cone_membership", False) for r in rows) and rows
+    err_lt = all(r.flags.get("error_lt_radius", False) for r in rows) and rows
+    violation = [
+        r
+        for r in rows
+        if all(r.flags.get(c, False) for c in _CONDITIONS)
+        and r.flags.get("dominated", False)
+        and not r.flags.get("error_lt_radius", False)
+    ]
+    return [
+        ("conditions_all_instances", all_flags, f"{len(rows)} instances"),
+        ("cone_membership", bool(cone), "estimate error in expansion cone"),
+        ("error_lt_radius", bool(err_lt), "E(estimate - truth) < R"),
+        (
+            "implication_holds",
+            not violation,
+            "no instance with all flags true but error >= radius",
+        ),
+    ]
+
+
+def _slope_check(rows, x_field, y_field, centre, half_width):
+    name = f"slope_vs_{x_field}"
     try:
         slope, _, _ = fit_loglog_slope(rows, x_field, y_field)
     except ValueError as exc:
         return (name, False, f"slope fit unavailable: {exc}")
-    return (name, lo <= slope <= hi, f"slope {slope:.4f} in {target}")
+    ok = centre - half_width <= slope <= centre + half_width
+    return (name, ok, f"slope {slope:.4f} in {centre:g} +- {half_width:g}")
 
 
 def scenario_assertions(
     spec: ExperimentSpec, rows: Sequence[ResultRow]
 ) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) triples encoding each scenario's target claims."""
-    sc = spec.scenario
-    p = spec.params
+    row = SCENARIOS[spec.scenario]
     clean = [r for r in rows if not r.error]
     out: list[tuple[str, bool, str]] = []
     if len(clean) < len(rows):
@@ -653,83 +734,118 @@ def scenario_assertions(
         out.append(
             ("no_trial_errors", False, f"{len(rows) - len(clean)} rows failed; first: {bad.error}")
         )
-
-    if sc == "regression_n_sweep":
-        k, d, alpha = int(p["k"]), int(p["d"]), float(p["alpha"])
-        for n, med in median_by_point(clean, "n", "prediction_error_sq").items():
-            bound = 100.0 * k * log(d) / (alpha**2 * n)
-            out.append(
-                (f"median_pred_sq_at_n_{n}", med <= bound, f"{med:.6g} <= {bound:.6g}")
-            )
-        out.append(
-            _slope_check("slope_vs_n", clean, "n", "prediction_error_sq",
-                         -1.25, -0.75, "-1 +- 0.25")
-        )
-    elif sc == "regression_alpha_sweep":
-        out.append(
-            _slope_check("slope_vs_alpha", clean, "alpha", "prediction_error_sq",
-                         -2.4, -1.6, "-2 +- 0.4")
-        )
-    elif sc == "pca_n_sweep":
-        r_rank, alpha = int(p["r"]), float(p["alpha"])
-        scale = float(p.get("zeta", 1.0)) + float(p.get("rho_over_n", 1.0))
-        for n, med in median_by_point(clean, "n", "frobenius_error").items():
-            bound = float(10.0 * np.sqrt(r_rank * n) / alpha * scale)
-            out.append(
-                (f"median_frob_at_n_{n}", med <= bound, f"{med:.6g} <= {bound:.6g}")
-            )
-        out.append(
-            _slope_check("slope_vs_n", clean, "n", "frobenius_error",
-                         0.3, 0.7, "0.5 +- 0.2")
-        )
-    elif sc == "pca_alpha_sweep":
-        out.append(
-            _slope_check("slope_vs_alpha", clean, "alpha", "frobenius_error",
-                         -1.3, -0.7, "-1 +- 0.3")
-        )
-    elif sc == "lowerbound_phase":
-        fracs = _success_fractions(clean)
-        alphas = sorted(fracs)
-        if len(alphas) >= 2:
-            lo, hi = fracs[alphas[0]][0], fracs[alphas[-1]][0]
-            out.append(("phase_low_alpha", lo <= 0.5, f"success {lo:.3f} <= 0.5"))
-            out.append(("phase_high_alpha", hi >= 0.9, f"success {hi:.3f} >= 0.9"))
-            monotone = True
-            worst = ""
-            for a, b in zip(alphas, alphas[1:]):
-                (pa, ta), (pb, tb) = fracs[a], fracs[b]
-                # Laplace-smoothed binomial sigmas so endpoint fractions of
-                # exactly 0 or 1 still get a nonzero noise allowance
-                sa = np.sqrt((pa * (1 - pa) + 1.0 / (ta + 2)) / ta)
-                sb = np.sqrt((pb * (1 - pb) + 1.0 / (tb + 2)) / tb)
-                slack = 2.0 * np.hypot(sa, sb)
-                if pb < pa - slack:
-                    monotone = False
-                    worst = f"drop {pa:.3f} -> {pb:.3f} at alpha {a:.4g} -> {b:.4g} exceeds 2 sigma {slack:.3f}"
-            out.append(("phase_monotone", monotone, worst or "within 2 sigma"))
-    elif sc == "meta_certificate":
-        conds = ("decomposability", "contraction", "gradient_bound",
-                 "restricted_convexity", "radius_bound")
-        all_flags = all(
-            all(r.flags.get(c, False) for c in conds) for r in clean
-        ) and len(clean) > 0
-        out.append(("conditions_all_instances", all_flags, f"{len(clean)} instances"))
-        cone = all(r.flags.get("cone_membership", False) for r in clean) and clean
-        out.append(("cone_membership", bool(cone), "estimate error in expansion cone"))
-        err_lt = all(r.flags.get("error_lt_radius", False) for r in clean) and clean
-        out.append(("error_lt_radius", bool(err_lt), "E(estimate - truth) < R"))
-        violation = [
-            r
-            for r in clean
-            if all(r.flags.get(c, False) for c in conds)
-            and r.flags.get("dominated", False)
-            and not r.flags.get("error_lt_radius", False)
-        ]
-        out.append(
-            (
-                "implication_holds",
-                not violation,
-                "no instance with all flags true but error >= radius",
-            )
-        )
+    out += row.checks(spec.params, clean)
+    if row.slope is not None:
+        x_field, y_field, _ = row.plot
+        out.append(_slope_check(clean, x_field, y_field, *row.slope))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the scenario table
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the runner knows about one scenario."""
+
+    family: Optional[Family]  # None: the one FAMILIES names by the `family` key
+    trial: Callable  # (spec, parameters, instance seed) -> (metrics, iterations, flags)
+    plot: tuple  # (x field, y field, log-log axes)
+    checks: Callable = _no_checks  # (fixed parameters, error-free rows) -> triples
+    # (centre, half-width) of the allowed log-log slope of the plotted y vs x
+    slope: Optional[tuple] = None
+    required: frozenset = frozenset()  # read by the trial or checks, beyond the family's
+    optional: frozenset = frozenset()
+    fixed: frozenset = frozenset()  # read once from the fixed parameters: never a grid axis
+
+    def family_for(self, p: dict) -> Family:
+        if self.family is not None:
+            return self.family
+        name = p.get("family", DEFAULT_FAMILY)
+        if name not in FAMILIES:
+            raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}")
+        return FAMILIES[name]
+
+    def check_keys(self, scenario: str, grid: dict, params: dict) -> None:
+        """Raise ValueError unless grid and params hold exactly the keys this
+        scenario reads: every required one, and nothing it would ignore."""
+        both = sorted(set(grid) & set(params))
+        if both:
+            raise ValueError(f"[{scenario}] {both} given both fixed and swept")
+        swept = sorted(self.fixed & set(grid))
+        if swept:
+            raise ValueError(f"[{scenario}] {swept} must be fixed, not swept")
+        family = self.family_for(params)
+        required = self.required | family.required
+        allowed = required | self.optional | family.optional
+        keys = set(grid) | set(params)
+        unknown = sorted(keys - allowed)
+        if unknown:
+            raise ValueError(
+                f"[{scenario}] unknown parameter(s) {unknown}; it reads {sorted(allowed)}"
+            )
+        missing = sorted(required - keys)
+        if missing:
+            raise ValueError(f"[{scenario}] missing required parameter(s) {missing}")
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "regression_n_sweep": Scenario(
+        family=_REGRESSION,
+        trial=_solve_metrics,
+        plot=("n", "prediction_error_sq", True),
+        checks=_regression_bounds,
+        slope=(-1.0, 0.25),
+        fixed=frozenset({"k", "d", "alpha"}),
+    ),
+    "regression_alpha_sweep": Scenario(
+        family=_REGRESSION,
+        trial=_solve_metrics,
+        plot=("alpha", "prediction_error_sq", True),
+        slope=(-2.0, 0.4),
+    ),
+    "regression_gaussian_design": Scenario(
+        family=Family(
+            _build_gaussian_design, frozenset({"n", "d", "k", "alpha"}), frozenset({"magnitude"})
+        ),
+        trial=_solve_metrics,
+        plot=("n", "prediction_error_sq", True),
+    ),
+    "pca_n_sweep": Scenario(
+        family=_PCA,
+        trial=_solve_metrics,
+        plot=("n", "frobenius_error", True),
+        checks=_pca_bounds,
+        slope=(0.5, 0.2),
+        fixed=frozenset({"r", "alpha", "zeta", "rho_over_n"}),
+    ),
+    "pca_alpha_sweep": Scenario(
+        family=_PCA,
+        trial=_solve_metrics,
+        plot=("alpha", "frobenius_error", True),
+        slope=(-1.0, 0.3),
+    ),
+    "matrix_completion": Scenario(
+        family=Family(
+            _build_completion, frozenset({"n", "r", "alpha"}), frozenset({"zeta", "rho_over_n"})
+        ),
+        trial=_solve_metrics,
+        plot=("alpha", "frobenius_error", False),
+    ),
+    "lowerbound_phase": Scenario(
+        family=Family(_build_phase, frozenset({"n", "r", "alpha"})),
+        trial=_phase_metrics,
+        plot=("alpha", "rel_error", False),
+        checks=_phase_checks,
+        required=frozenset({"epsilon"}),
+    ),
+    "meta_certificate": Scenario(
+        family=None,
+        trial=_certificate_metrics,
+        plot=("instance", "error_value", False),
+        checks=_meta_checks,
+        optional=frozenset({"family", "instance"}),
+        fixed=frozenset({"family"}),
+    ),
+}

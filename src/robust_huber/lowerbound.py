@@ -5,66 +5,31 @@ that is zero with probability a and +-2m with probability a*q^m.  The inlier
 rate a is tied to the shape parameter xi by a = xi*sqrt(r)/(2*sqrt(n)-xi*sqrt(r)).
 Below the threshold no algorithm can achieve small relative error; this module
 only demonstrates the phase empirically against the Huber estimator, which is
-one algorithm, not all of them.
+one algorithm, not all of them.  The impossibility statement itself lives at
+xi <= 1/2; larger xi values are still a valid noise law (up to
+xi*sqrt(r) = sqrt(n)) and are what the recovery side of the phase diagram uses.
+
+The sweep over alpha runs through the experiment runner as the
+`lowerbound_phase` scenario, whose trials call `phase_trial`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
 import numpy as np
 
-from .datagen import NoiseSpec, lb_noise_params, make_pca_instance, trial_seed
-from .estimators import EstimatorConstants, estimate_pca, frobenius_error
+from .datagen import NoiseSpec, lb_noise_params, make_pca_instance
+from .estimators import EstimatorConstants, PcaProblem, estimate_pca, frobenius_error
 from .solver import SolverConfig
 
 __all__ = [
-    "LowerBoundSpec",
     "lb_alpha_of_xi",
     "lb_xi_of_alpha",
+    "phase_instance",
     "phase_trial",
-    "run_phase_experiment",
-    "summarize_phase",
 ]
 
 PHASE_ZETA = 1.0  # the construction normalizes 0 <= zeta <= rho/n = 1
 PHASE_RHO_OVER_N = 1.0
-
-
-@dataclass(frozen=True)
-class LowerBoundSpec:
-    """Shape of one phase experiment.
-
-    The impossibility statement itself lives at xi <= 1/2
-    (impossibility_regime); larger xi values are still a valid noise law (up
-    to xi*sqrt(r) = sqrt(n)) and are what the recovery side of the phase
-    diagram uses.
-    """
-
-    n: int
-    r: int
-    xi: float
-    epsilon: float
-    trials: int
-
-    def __post_init__(self):
-        if self.r < 1 or self.n < self.r:
-            raise ValueError("need n >= r >= 1")
-        lb_noise_params(self.n, self.r, self.xi)  # validates the xi range
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-    @property
-    def impossibility_regime(self) -> bool:
-        return self.xi <= 0.5
-
-    @property
-    def alpha(self) -> float:
-        return lb_alpha_of_xi(self.n, self.r, self.xi)
 
 
 def lb_alpha_of_xi(n: int, r: int, xi: float) -> float:
@@ -82,6 +47,14 @@ def lb_xi_of_alpha(n: int, r: int, alpha: float) -> float:
     return float(xi)
 
 
+def phase_instance(n: int, r: int, alpha: float, instance_seed: int) -> PcaProblem:
+    """One draw of the generative model at inlier rate alpha."""
+    noise = NoiseSpec(
+        family="lb_geometric_even", alpha=alpha, zeta=PHASE_ZETA, xi=lb_xi_of_alpha(n, r, alpha)
+    )
+    return make_pca_instance(n, r, noise, PHASE_RHO_OVER_N, instance_seed, l_scale=1.0)
+
+
 def phase_trial(
     n: int,
     r: int,
@@ -91,68 +64,14 @@ def phase_trial(
     config: SolverConfig,
 ) -> dict:
     """One draw of the generative model, solved; returns the trial record."""
-    xi = lb_xi_of_alpha(n, r, alpha)
-    noise = NoiseSpec(
-        family="lb_geometric_even", alpha=alpha, zeta=PHASE_ZETA, xi=xi
-    )
-    t0 = time.perf_counter()
-    problem = make_pca_instance(
-        n, r, noise, PHASE_RHO_OVER_N, instance_seed, l_scale=1.0
-    )
+    problem = phase_instance(n, r, alpha, instance_seed)
     L_hat, result = estimate_pca(problem, constants, config)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
     # rho = n * (rho/n) = n here, so error <= eps*rho reads rel_error <= eps
     rel_error = frobenius_error(problem, L_hat) / n
     return {
         "alpha": alpha,
-        "xi": xi,
+        "xi": lb_xi_of_alpha(n, r, alpha),
         "rel_error": rel_error,
         "iterations": result.iterations,
-        "wall_ms": wall_ms,
         "dominated": bool(result.reference_dominated),
     }
-
-
-def run_phase_experiment(
-    spec: LowerBoundSpec,
-    alphas: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    constants: EstimatorConstants = EstimatorConstants(),
-    config: SolverConfig = SolverConfig(),
-    collect_trials: Optional[list] = None,
-) -> list[dict]:
-    """Mean relative error and success fraction at threshold eps, per alpha.
-
-    Trials are seeded per (alpha index, trial), so the outcome is independent
-    of execution order.  Pass collect_trials=[] to also receive the raw
-    per-trial records.
-    """
-    if alphas is None:
-        alphas = [spec.alpha]
-    rows = []
-    for point, alpha in enumerate(alphas):
-        for t in range(spec.trials):
-            rec = phase_trial(
-                spec.n, spec.r, float(alpha), trial_seed(seed, point, t), constants, config
-            )
-            rec["trial"] = t
-            rows.append(rec)
-    if collect_trials is not None:
-        collect_trials.extend(rows)
-    return summarize_phase(rows, spec.epsilon)
-
-
-def summarize_phase(rows: Sequence[dict], epsilon: float) -> list[dict]:
-    """Aggregate per-trial records into (alpha, mean rel. error, success frac)."""
-    out = []
-    for alpha in sorted({rec["alpha"] for rec in rows}):
-        errs = np.array([rec["rel_error"] for rec in rows if rec["alpha"] == alpha])
-        out.append(
-            {
-                "alpha": float(alpha),
-                "mean_rel_error": float(np.mean(errs)),
-                "success_fraction": float(np.mean(errs <= epsilon)),
-                "trials": int(errs.size),
-            }
-        )
-    return out

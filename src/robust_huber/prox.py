@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RegWeight",
     "MaxNormBall",
     "prox_l1",
     "prox_nuclear",
@@ -23,17 +22,6 @@ SV_ZERO_REL_TOL = 1e-12
 # of the threshold: eigh(M^T M) squares the condition number, so the singular
 # values that survive the threshold lose accuracy as sigma_1/threshold grows
 GRAM_MAX_SV_RATIO = 1e3
-
-
-@dataclass(frozen=True)
-class RegWeight:
-    """Non-negative weight multiplying a regularizer."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"regularization weight must be >= 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Tests for the batch experiment runner: specs, CSV round trips, scenario
 assertions, reports, and the command-line front end."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,6 @@ from robust_huber import experiments
 from robust_huber.experiments import (
     ExperimentSpec,
     ResultRow,
-    build_instance,
     emit_csv,
     emit_report,
     fit_loglog_slope,
@@ -204,26 +205,87 @@ def test_run_experiment_captures_trial_errors():
     assert checks["conditions_all_instances"] is False
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_experiment_raises_programming_errors(monkeypatch, threads):
+def break_trials(monkeypatch, scenario):
+    """Make every trial of `scenario` raise a TypeError, as a bug would."""
+
     def broken(spec, p, instance_seed):
         raise TypeError("bug in a metrics helper")
 
-    monkeypatch.setattr(experiments, "_metrics_for", broken)
+    row = dataclasses.replace(experiments.SCENARIOS[scenario], trial=broken)
+    monkeypatch.setitem(experiments.SCENARIOS, scenario, row)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_experiment_raises_programming_errors(monkeypatch, threads):
+    break_trials(monkeypatch, "regression_n_sweep")
     spec = tiny_regression_spec(grid={"n": [30, 40]}, trials_per_point=3)
     with pytest.raises(TypeError, match="bug in a metrics helper"):
         run_experiment(spec, threads=threads)
 
 
 def test_build_instance_unknown_family():
-    spec = ExperimentSpec(
-        scenario="meta_certificate",
-        grid={"instance": [0]},
-        params={"family": "bogus", "n": 20, "alpha": 0.9},
-        trials_per_point=1,
-    )
-    with pytest.raises(ValueError):
-        build_instance(spec, dict(spec.params), 0)
+    # the family is checked when the spec is made, before any instance is built
+    with pytest.raises(ValueError, match="bogus"):
+        ExperimentSpec(
+            scenario="meta_certificate",
+            grid={"instance": [0]},
+            params={"family": "bogus", "n": 20, "alpha": 0.9},
+            trials_per_point=1,
+        )
+
+
+def test_spec_rejects_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match="max_iter"):
+        tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 0.8, "max_iter": 100})
+    with pytest.raises(ValueError, match=r"missing required parameter\(s\) \['k'\]"):
+        tiny_regression_spec(params={"d": 8, "alpha": 0.8})
+    # a grid axis counts as a key like a fixed parameter does
+    with pytest.raises(ValueError, match="unknown parameter"):
+        tiny_regression_spec(grid={"n": [30], "rank": [1, 2]})
+    # a key one scenario reads is unknown to another
+    with pytest.raises(ValueError, match="outlier_scale"):
+        ExperimentSpec(
+            scenario="matrix_completion",
+            grid={"alpha": [0.9]},
+            params={"n": 20, "r": 1, "outlier_scale": 100.0},
+        )
+
+
+def test_spec_rejects_keys_swept_where_they_must_be_fixed():
+    with pytest.raises(ValueError, match="both fixed and swept"):
+        tiny_regression_spec(grid={"n": [40]}, params={"n": 30, "d": 8, "k": 2, "alpha": 0.8})
+    with pytest.raises(ValueError, match="must be fixed"):
+        tiny_regression_spec(grid={"n": [30], "alpha": [0.5, 0.8]}, params={"d": 8, "k": 2})
+    with pytest.raises(ValueError, match="must be fixed"):
+        ExperimentSpec(
+            scenario="meta_certificate",
+            grid={"instance": [0], "family": ["regression"]},
+            params={"n": 20, "d": 4, "k": 1, "alpha": 0.9},
+        )
+
+
+def test_meta_certificate_keys_follow_its_family():
+    base = dict(scenario="meta_certificate", grid={"instance": [0]})
+    pca = {"n": 20, "r": 1, "alpha": 0.9, "l_scale": 0.5}
+    regression = {"n": 20, "d": 4, "k": 1, "alpha": 0.9, "magnitude": 3.0}
+    ExperimentSpec(**base, params={"family": "pca", **pca})
+    ExperimentSpec(**base, params={"family": "regression", **regression})
+    ExperimentSpec(**base, params=regression)  # regression by default
+    with pytest.raises(ValueError, match="l_scale"):
+        ExperimentSpec(**base, params={"family": "regression", **regression, "l_scale": 0.5})
+    with pytest.raises(ValueError, match=r"unknown parameter\(s\) \['l_scale', 'r'\]"):
+        ExperimentSpec(**base, params=pca)  # read as regression, the default
+    with pytest.raises(ValueError, match=r"missing required parameter\(s\) \['r'\]"):
+        ExperimentSpec(**base, params={"family": "pca", "n": 20, "alpha": 0.9})
+
+
+def test_every_scenario_requires_alpha_and_reads_its_plot_axis():
+    for name, row in experiments.SCENARIOS.items():
+        families = experiments.FAMILIES.values() if row.family is None else [row.family]
+        for family in families:
+            required = row.required | family.required
+            assert "alpha" in required, name
+            assert row.plot[0] in required | row.optional | family.optional, name
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +646,28 @@ def test_emit_report_contents_and_gnuplot(tmp_path):
     assert str(csv_path) in script
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        rows_from(
+            "regression_n_sweep", "n",
+            [(n, 4.0 / n) for n in (100, 200, 400)], "prediction_error_sq",
+            flags={"dominated": True},
+        ),
+        [meta_row(0, meta_flags()), meta_row(1, meta_flags())],
+    ],
+    ids=["regression_n_sweep", "meta_certificate"],
+)
+def test_gnuplot_columns_are_the_plot_axes_of_the_csv(tmp_path, rows):
+    csv_path = tmp_path / "rows.csv"
+    emit_csv(rows, csv_path)
+    header = csv_path.read_text().splitlines()[0].split(",")
+    script = experiments._gnuplot_script(rows, csv_path)
+    ix, iy = map(int, re.search(r"using (\d+):(\d+)", script).groups())
+    x_field, y_field, _ = experiments.SCENARIOS[rows[0].scenario].plot
+    assert (header[ix - 1], header[iy - 1]) == (x_field, y_field)
+
+
 def test_emit_report_without_spec_has_no_checks(tmp_path):
     rows = rows_from("pca_n_sweep", "n", [(50, 1.0), (100, 2.0)], "frobenius_error")
     checks = emit_report(rows, tmp_path / "r.txt")
@@ -737,6 +821,37 @@ def test_cli_verify_without_alpha(tmp_path):
         "n = 50\nd = 8\nk = 2\n",
     )
     assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "name, ini, message",
+    [
+        ("typo", TINY_REGRESSION_INI + "max_iter = 100\n", "max_iter"),
+        ("completion_without_r", TINY_COMPLETION_INI.replace("r = 1\n", ""), "['r']"),
+        (
+            "bogus_family",
+            "[meta_certificate]\ninstance_grid = 0\nfamily = bogus\n"
+            "n = 50\nd = 8\nk = 2\nalpha = 0.9\n",
+            "bogus",
+        ),
+    ],
+)
+def test_cli_sweep_rejects_bad_config_at_load(tmp_path, capsys, name, ini, message):
+    cfg = write_config(tmp_path, f"{name}.ini", ini)
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+def test_cli_bug_in_a_trial_is_not_a_config_error(tmp_path, monkeypatch):
+    break_trials(monkeypatch, "regression_n_sweep")
+    cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
+    out = tmp_path / "reg.csv"
+    with pytest.raises(TypeError, match="bug in a metrics helper"):
+        main(["sweep", "--config", cfg, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_phase_requires_phase_scenario(tmp_path):

@@ -4,38 +4,47 @@ import numpy as np
 import pytest
 
 from robust_huber import EstimatorConstants, SolverConfig
+from robust_huber.datagen import trial_seed
+from robust_huber.experiments import (
+    ExperimentSpec,
+    ResultRow,
+    build_instance,
+    run_experiment,
+    scenario_assertions,
+)
 from robust_huber.lowerbound import (
-    LowerBoundSpec,
     lb_alpha_of_xi,
     lb_xi_of_alpha,
+    phase_instance,
     phase_trial,
-    run_phase_experiment,
-    summarize_phase,
 )
 
 FAST = SolverConfig(max_iters=150, rel_tol=1e-4)
 PHASE_CONSTANTS = EstimatorConstants(gamma_scale=2.0, huber_h_override=3.0)
 
 
-def test_spec_validation():
-    good = dict(n=40, r=1, xi=0.5, epsilon=0.5, trials=3)
-    LowerBoundSpec(**good)
-    with pytest.raises(ValueError):
-        LowerBoundSpec(**{**good, "n": 0})
-    with pytest.raises(ValueError):
-        LowerBoundSpec(**{**good, "r": 41})
-    with pytest.raises(ValueError):
-        LowerBoundSpec(**{**good, "epsilon": 1.0})
-    with pytest.raises(ValueError):
-        LowerBoundSpec(**{**good, "trials": 0})
-    with pytest.raises(ValueError):
-        # xi*sqrt(r) may not reach 2*sqrt(n)
-        LowerBoundSpec(**{**good, "xi": 2.0 * np.sqrt(40)})
+def phase_spec(**overrides):
+    kw = dict(
+        scenario="lowerbound_phase",
+        grid={"alpha": [0.05, 0.25]},
+        params={"n": 40, "r": 1, "epsilon": 0.5},
+        trials_per_point=2,
+        seed=7,
+        constants=PHASE_CONSTANTS,
+        solver=FAST,
+    )
+    kw.update(overrides)
+    return ExperimentSpec(**kw)
 
 
-def test_impossibility_regime_flag():
-    assert LowerBoundSpec(n=40, r=1, xi=0.5, epsilon=0.5, trials=1).impossibility_regime
-    assert not LowerBoundSpec(n=40, r=1, xi=0.6, epsilon=0.5, trials=1).impossibility_regime
+def test_phase_spec_validation():
+    phase_spec()
+    with pytest.raises(ValueError, match="epsilon"):
+        phase_spec(params={"n": 40, "r": 1})
+    with pytest.raises(ValueError, match="xi"):
+        phase_spec(params={"n": 40, "r": 1, "epsilon": 0.5, "xi": 0.5})
+    with pytest.raises(ValueError):
+        phase_spec(trials_per_point=0)
 
 
 def test_alpha_of_xi_worked_example():
@@ -70,14 +79,9 @@ def test_xi_of_alpha_rejects_boundary():
             lb_xi_of_alpha(100, 1, alpha)
 
 
-def test_spec_alpha_property_matches_map():
-    spec = LowerBoundSpec(n=64, r=2, xi=0.5, epsilon=0.5, trials=1)
-    assert spec.alpha == pytest.approx(lb_alpha_of_xi(64, 2, 0.5), rel=1e-15)
-
-
 def test_phase_trial_record_and_determinism():
     rec = phase_trial(40, 1, 0.25, 12345, PHASE_CONSTANTS, FAST)
-    assert set(rec) == {"alpha", "xi", "rel_error", "iterations", "wall_ms", "dominated"}
+    assert set(rec) == {"alpha", "xi", "rel_error", "iterations", "dominated"}
     assert rec["alpha"] == 0.25
     assert rec["xi"] == pytest.approx(lb_xi_of_alpha(40, 1, 0.25))
     assert rec["rel_error"] >= 0.0
@@ -87,45 +91,40 @@ def test_phase_trial_record_and_determinism():
     assert again["iterations"] == rec["iterations"]
 
 
-def test_run_phase_experiment_smoke():
-    spec = LowerBoundSpec(n=40, r=1, xi=0.5, epsilon=0.5, trials=2)
-    raw = []
-    summary = run_phase_experiment(
-        spec,
-        alphas=[0.05, 0.25],
-        seed=7,
-        constants=PHASE_CONSTANTS,
-        config=FAST,
-        collect_trials=raw,
-    )
-    assert [row["alpha"] for row in summary] == [0.05, 0.25]
-    for row in summary:
-        assert row["trials"] == 2
-        assert 0.0 <= row["success_fraction"] <= 1.0
-        assert row["mean_rel_error"] >= 0.0
-    assert len(raw) == 4
-    assert {rec["trial"] for rec in raw} == {0, 1}
+def test_phase_row_builds_the_trial_instance():
+    spec = phase_spec()
+    p = {**spec.params, "alpha": 0.25}
+    built = build_instance(spec, p, 12345)
+    drawn = phase_instance(40, 1, 0.25, 12345)
+    assert np.array_equal(built.Y, drawn.Y)
+    assert np.array_equal(built.L_star, drawn.L_star)
 
 
-def test_run_phase_experiment_defaults_to_spec_alpha():
-    spec = LowerBoundSpec(n=40, r=1, xi=0.5, epsilon=0.5, trials=1)
-    summary = run_phase_experiment(
-        spec, seed=8, constants=PHASE_CONSTANTS, config=FAST
-    )
-    assert len(summary) == 1
-    assert summary[0]["alpha"] == pytest.approx(spec.alpha)
-
-
-def test_summarize_phase_arithmetic():
-    rows = [
-        {"alpha": 0.1, "rel_error": 0.2},
-        {"alpha": 0.1, "rel_error": 0.6},
-        {"alpha": 0.05, "rel_error": 1.0},
+def test_phase_sweep_through_runner():
+    rows = run_experiment(phase_spec())
+    assert [(r.point["alpha"], r.trial) for r in rows] == [
+        (0.05, 0), (0.05, 1), (0.25, 0), (0.25, 1)
     ]
-    out = summarize_phase(rows, epsilon=0.5)
-    assert [row["alpha"] for row in out] == [0.05, 0.1]
-    low, high = out
-    assert low["success_fraction"] == 0.0 and low["trials"] == 1
-    assert high["mean_rel_error"] == pytest.approx(0.4)
-    assert high["success_fraction"] == pytest.approx(0.5)
-    assert high["trials"] == 2
+    for row in rows:
+        assert not row.error
+        assert row.metrics["rel_error"] >= 0.0
+        assert row.flags["success"] == (row.metrics["rel_error"] <= 0.5)
+    # trial t at grid point i solves the instance phase_trial draws from its seed
+    rec = phase_trial(40, 1, 0.25, trial_seed(7, 1, 1), PHASE_CONSTANTS, FAST)
+    assert rows[3].metrics["rel_error"] == rec["rel_error"]
+    assert rows[3].iterations == rec["iterations"]
+
+
+def test_phase_success_fraction_arithmetic():
+    def row(alpha, trial, success):
+        return ResultRow(
+            scenario="lowerbound_phase", point={"alpha": alpha}, trial=trial,
+            metrics={"rel_error": 0.2 if success else 1.0}, iterations=1,
+            flags={"success": success},
+        )
+
+    rows = [row(0.1, 0, True), row(0.1, 1, False), row(0.05, 0, False)]
+    checks = {name: (ok, detail) for name, ok, detail in scenario_assertions(phase_spec(), rows)}
+    assert checks["phase_low_alpha"] == (True, "success 0.000 <= 0.5")
+    assert checks["phase_high_alpha"] == (False, "success 0.500 >= 0.9")
+    assert checks["phase_monotone"][0] is True

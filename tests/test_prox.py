@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from robust_huber import (
     MaxNormBall,
-    RegWeight,
     dual_norm_linf,
     dual_norm_spectral,
     nuclear_norm,
@@ -287,10 +286,3 @@ def test_nuclear_norm_matches_svd_sum():
     rng = np.random.default_rng(21)
     M = rng.standard_normal((5, 3))
     assert nuclear_norm(M) == pytest.approx(np.sum(np.linalg.svd(M, compute_uv=False)))
-
-
-def test_reg_weight_validation():
-    RegWeight(0.0)
-    RegWeight(3.5)
-    with pytest.raises(ValueError):
-        RegWeight(-1.0)

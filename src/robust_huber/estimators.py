@@ -238,8 +238,10 @@ def estimate_pca(
 ) -> tuple[np.ndarray, SolveResult]:
     """Solve the box-constrained nuclear-penalized Huber problem.
 
-    Starts from the box projection of Y; the splitting step is capped at the
-    reciprocal smooth Lipschitz constant (1 for this residual structure).
+    Starts from the box projection of Y.  The splitting step starts at, and
+    never exceeds, min(config.initial_step, 1/L) with L = 1 the smooth
+    Lipschitz constant of this residual structure; solve_split adapts it by
+    residual balancing and stops on a residual normalised by the step.
     """
     composite, info = build_pca_composite(problem, constants)
     step = min(config.initial_step, 1.0 / info["lipschitz"])

@@ -661,7 +661,9 @@ def _phase_checks(p, rows):
     fracs = _success_fractions(p, rows)
     alphas = sorted(fracs)
     if len(alphas) < 2:
-        return []
+        # a transition needs two alphas; one alpha must fail, not pass unchecked
+        return [("phase_alpha_grid", False,
+                 f"{len(alphas)} alpha value(s) with results; the phase checks need at least 2")]
     lo, hi = fracs[alphas[0]][0], fracs[alphas[-1]][0]
     out = [
         ("phase_low_alpha", lo <= 0.5, f"success {lo:.3f} <= 0.5"),

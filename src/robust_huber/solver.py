@@ -7,11 +7,14 @@ Two routines share the SolveResult contract:
   regression).
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
-  box-constrained nuclear-penalized problem.
+  box-constrained nuclear-penalized problem. Its step adapts during the
+  solve by residual balancing, with config.initial_step as the largest step.
 
-Both terminate on the prox-gradient fixed-point residual
-||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol and are fully
-deterministic: identical inputs and config give bit-identical iterates.
+solve_fista terminates on the prox-gradient fixed-point residual
+||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol; solve_split on
+the same residual divided by its current step, so that rel_tol means the
+same at every step and, at step 1, the same as for a fixed step.  Both are
+fully deterministic: identical inputs and config give bit-identical iterates.
 """
 
 from __future__ import annotations
@@ -34,6 +37,17 @@ __all__ = [
     "solve_split",
     "certify_against_reference",
 ]
+
+
+# Residual balancing of the splitting step (Boyd et al., Distributed
+# Optimization and Statistical Learning via ADMM, 2011, sec. 3.4.1): the step
+# is divided by STEP_FACTOR when the primal residual exceeds BALANCE_RATIO
+# times the dual residual, and multiplied by it in the opposite case.  After
+# MAX_STEP_CHANGES changes it stays fixed, so the fixed-step convergence
+# guarantee of three-operator splitting applies from then on.
+BALANCE_RATIO = 3.0
+STEP_FACTOR = 2.0
+MAX_STEP_CHANGES = 20
 
 
 class SolverDiverged(RuntimeError):
@@ -86,6 +100,10 @@ class SolveResult:
     iterations: int
     residual: float
     converged: bool  # the stopping residual met rel_tol; False on a cap hit
+    # "tolerance" (the residual met rel_tol), "cap" (max_iters ran out), or
+    # "start" (solve_fista's start already met rel_tol; no iteration ran)
+    stop_reason: str
+    step: float  # the step in force at the end
     reference_dominated: Optional[bool] = None
     history: list = field(default_factory=list, repr=False)
 
@@ -100,6 +118,10 @@ def _fixed_point_residual(problem, x, grad, step):
     if problem.constraint is not None:
         v = project_maxnorm(v, problem.constraint)
     return float(np.linalg.norm((x - v).ravel()) / max(1.0, np.linalg.norm(x.ravel())))
+
+
+def _stop_reason(converged: bool) -> str:
+    return "tolerance" if converged else "cap"
 
 
 def _backtracked_prox_step(problem, config, y, fy, gy, step):
@@ -136,7 +158,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
 
     residual = _fixed_point_residual(problem, x, gx, step)
     if residual <= config.rel_tol:
-        return SolveResult(x, obj_x, 0, residual, True, history=history)
+        return SolveResult(x, obj_x, 0, residual, True, "start", step, history=history)
 
     y, fy, gy = x, fx, gx
     t_mom = 1.0
@@ -166,17 +188,26 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         fy, gy = problem.smooth_eval(y)
 
     converged = residual <= config.rel_tol
-    return SolveResult(x, obj_x, iterations, residual, converged, history=history)
+    return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged), step,
+                       history=history)
 
 
 def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
     """Three-operator splitting for box-constrained regularized problems.
 
     Iterates x_b = project(z), x_a = prox(2 x_b - z - step*grad f(x_b)), and
-    z += x_a - x_b.  The step must not exceed the reciprocal smooth Lipschitz
-    constant.  Returns the best feasible iterate seen (by composite
-    objective), so the recorded objective history is non-increasing and the
-    returned point satisfies the box exactly.
+    z += x_a - x_b (Davis & Yin, arXiv:1504.01032).  config.initial_step is
+    the first and the largest step; it must not exceed the reciprocal smooth
+    Lipschitz constant.  After each iteration the step is balanced: halved
+    while the primal residual ||x_a - x_b|| exceeds BALANCE_RATIO times the
+    dual residual ||x_b - x_b_prev|| / step, doubled (up to initial_step) in
+    the opposite case, at most MAX_STEP_CHANGES times.  A change rescales z
+    about x_b, which keeps x_b and the box multiplier (z - x_b)/step.
+
+    Stops when ||x_a - x_b|| / (step * max(1, ||x_b||)) <= rel_tol.  Returns
+    the best feasible iterate seen (by composite objective), so the recorded
+    objective history is non-increasing and the returned point satisfies the
+    box exactly.
     """
     if problem.constraint is None:
         raise ValueError("solve_split requires a box constraint")
@@ -185,6 +216,7 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     if z.shape != tuple(problem.shape):
         raise ValueError(f"start has shape {z.shape}, expected {tuple(problem.shape)}")
     step = config.initial_step
+    step_changes = 0
     eval_every = 5  # objective bookkeeping cadence; prox/projection run every iteration
 
     x_b = project_maxnorm(z, ball)
@@ -199,10 +231,11 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     for iterations in range(1, config.max_iters + 1):
         x_a = problem.prox(2.0 * x_b - z - step * g_b, step)
         z += x_a - x_b
-        residual = float(
-            np.linalg.norm((x_a - x_b).ravel()) / max(1.0, np.linalg.norm(x_b.ravel()))
-        )
-        x_b = project_maxnorm(z, ball)
+        primal = float(np.linalg.norm((x_a - x_b).ravel()))
+        residual = primal / (step * max(1.0, float(np.linalg.norm(x_b.ravel()))))
+        x_next = project_maxnorm(z, ball)
+        dual = float(np.linalg.norm((x_next - x_b).ravel())) / step
+        x_b = x_next
         f_b, g_b = problem.smooth_eval(x_b)
         if not np.isfinite(f_b):
             raise SolverDiverged(f"smooth value non-finite at iteration {iterations}")
@@ -214,6 +247,19 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
             history.append(obj_best)
         if residual <= config.rel_tol:
             break
+        if step_changes < MAX_STEP_CHANGES:
+            new_step = step
+            if primal > BALANCE_RATIO * dual:
+                new_step = step / STEP_FACTOR
+            elif dual > BALANCE_RATIO * primal:
+                new_step = min(step * STEP_FACTOR, config.initial_step)
+            if new_step != step:
+                # z <- x_b + (new_step/step) (z - x_b), in place
+                z -= x_b
+                z *= new_step / step
+                z += x_b
+                step = new_step
+                step_changes += 1
 
     # final bookkeeping in case the loop ended off-cadence
     obj_b = f_b + problem.reg_value(x_b)
@@ -222,7 +268,8 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         x_best = x_b.copy()
         history.append(obj_best)
     converged = residual <= config.rel_tol
-    return SolveResult(x_best, obj_best, iterations, residual, converged, history=history)
+    return SolveResult(x_best, obj_best, iterations, residual, converged, _stop_reason(converged),
+                       step, history=history)
 
 
 def certify_against_reference(

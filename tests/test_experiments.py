@@ -726,6 +726,7 @@ def test_cli_solve(tmp_path, capsys):
     assert "objective = " in printed
     assert "prediction_error_sq = " in printed
     assert "\nconverged = 1\n" in printed
+    assert "\nstop_reason = tolerance\n" in printed
     assert est.exists()
 
 
@@ -857,6 +858,23 @@ def test_cli_bug_in_a_trial_is_not_a_config_error(tmp_path, monkeypatch):
 def test_cli_phase_requires_phase_scenario(tmp_path):
     cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
     assert main(["phase", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_cli_phase_with_one_alpha_fails_its_check(tmp_path, capsys):
+    # loading must accept it (a benchmark cuts every grid to one point), but
+    # one alpha shows no transition, so the sweep cannot pass
+    cfg = write_config(
+        tmp_path,
+        "phase1.ini",
+        "[lowerbound_phase]\n"
+        "alpha_grid = 0.25\nn = 20\nr = 1\nepsilon = 0.5\n"
+        "trials_per_point = 1\nseed = 3\ngamma_scale = 2.0\nhuber_h_override = 3.0\n"
+        "max_iters = 100\nrel_tol = 1e-4\n",
+    )
+    out = tmp_path / "phase1.csv"
+    assert main(["phase", "--config", cfg, "--out", str(out)]) == EXIT_ASSERT
+    assert len(parse_csv(out)) == 1
+    assert "FAIL phase_alpha_grid: " in capsys.readouterr().out
 
 
 def test_import_loads_no_scipy():

@@ -1,5 +1,9 @@
 """Solver tests: closed-form and grid-search oracles, monotonicity,
-feasibility, determinism, and the reference-domination certificate."""
+feasibility, determinism, the adaptive splitting step, and the
+reference-domination certificate."""
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,13 @@ from robust_huber import (
     prox_l1,
     prox_nuclear,
 )
+from robust_huber import solver
+from robust_huber.datagen import trial_seed
+from robust_huber.estimators import estimate_pca
+from robust_huber.experiments import ExperimentSpec, build_instance
 from robust_huber.solver import solve_fista, solve_split
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def regression_composite(X, y, h, gamma):
@@ -69,6 +79,7 @@ def test_fista_zero_data_stays_at_zero():
     result = solve_fista(problem, SolverConfig(), np.zeros(1))
     assert result.iterations == 0
     assert result.converged is True
+    assert result.stop_reason == "start"
     assert result.point[0] == 0.0
     assert result.objective == 0.0
 
@@ -172,8 +183,10 @@ def test_fista_reports_convergence():
     capped = solve_fista(problem, SolverConfig(max_iters=1, initial_step=step), np.zeros(4))
     assert capped.iterations == 1
     assert capped.converged is False
+    assert capped.stop_reason == "cap"
     done = solve_fista(problem, SolverConfig(initial_step=step), np.zeros(4))
     assert done.converged is True
+    assert done.stop_reason == "tolerance"
     assert done.residual <= SolverConfig().rel_tol
 
 
@@ -258,9 +271,86 @@ def test_split_reports_convergence():
     capped = solve_split(problem, SolverConfig(max_iters=1), np.zeros((5, 5)))
     assert capped.iterations == 1
     assert capped.converged is False
+    assert capped.stop_reason == "cap"
     done = solve_split(problem, SolverConfig(rel_tol=1e-8, max_iters=5000), np.zeros((5, 5)))
     assert done.iterations < 5000
     assert done.converged is True
+    assert done.stop_reason == "tolerance"
+    assert type(done.residual) is float and done.residual <= 1e-8
+
+
+def test_split_stays_at_box_active_optimum_through_step_changes():
+    # Two separable coordinates, box [-1, 1], f = sum w_i (x_i - y_i)^2 / 2,
+    # g = sum gam_i |x_i|.  Coordinate 0 starts at its splitting fixed point:
+    # x* = 1 on the box face, box multiplier u = y - x* - gam = 3.5, so
+    # z = x* + step * u.  Coordinate 1 starts beyond the opposite face, which
+    # makes the step change.  Every number is exact in binary, so coordinate
+    # 0 must stay at 1.0 in every prox output and every projected iterate;
+    # a step change that did not rescale z would move it.
+    w, y, gam = np.array([1.0, 0.5]), np.array([5.0, 2.0]), np.array([0.5, 0.2])
+    steps, prox_out, evaluated = [], [], []
+
+    def smooth_eval(x):
+        evaluated.append(x[0])
+        return 0.5 * float(np.sum(w * (x - y) ** 2)), w * (x - y)
+
+    def prox(v, t):
+        steps.append(t)
+        out = np.sign(v) * np.maximum(np.abs(v) - t * gam, 0.0)
+        prox_out.append(out[0])
+        return out
+
+    problem = CompositeProblem(
+        smooth_eval=smooth_eval,
+        prox=prox,
+        reg_value=lambda x: float(np.sum(gam * np.abs(x))),
+        shape=(2,),
+        constraint=MaxNormBall(1.0),
+    )
+    result = solve_split(problem, SolverConfig(rel_tol=1e-12, max_iters=100),
+                         np.array([1.0 + 3.5, -10.0]))
+    assert result.converged is True
+    assert len(set(steps)) >= 3  # the step changed at least twice
+    assert result.step == steps[-1] < 1.0
+    assert set(prox_out) == {1.0}
+    assert set(evaluated) == {1.0}
+    np.testing.assert_array_equal(result.point, [1.0, 1.0])
+
+
+def _pca_config_instance(config, seed, point, trial, **params):
+    spec = ExperimentSpec.from_config(CONFIG_DIR / config, seed=seed)
+    p = dict(spec.params)
+    p.update(params)
+    return spec, build_instance(spec, p, trial_seed(spec.seed, point, trial))
+
+
+def test_split_adaptive_step_no_worse_than_fixed_step(monkeypatch):
+    # accept05_pca_n at n=50, trial 0: objective about 4.7e7
+    spec, problem = _pca_config_instance("accept05_pca_n.ini", None, 0, 0, n=50)
+    config = replace(spec.solver, rel_tol=1e-5)
+    _, adaptive = estimate_pca(problem, spec.constants, config)
+    _, reference = estimate_pca(problem, spec.constants,
+                                replace(config, rel_tol=1e-10, max_iters=20_000))
+    monkeypatch.setattr(solver, "MAX_STEP_CHANGES", 0)
+    _, fixed = estimate_pca(problem, spec.constants, config)
+    assert fixed.step == config.initial_step
+    assert adaptive.converged and fixed.converged and reference.converged
+    assert adaptive.step < config.initial_step
+    assert adaptive.iterations < fixed.iterations
+    assert adaptive.objective <= fixed.objective
+    # measured gaps to the reference: 2.4e-11 (adaptive), 1.0e-10 (fixed)
+    assert adaptive.objective - reference.objective <= 1e-9 * abs(reference.objective)
+
+
+def test_split_converges_on_pca_case_that_hit_the_cap():
+    # accept05_pca_alpha at seed 1, alpha 0.8 (grid point 1), trial 1: at the
+    # fixed step 1 this solve stopped at the 1500-iteration cap
+    spec, problem = _pca_config_instance("accept05_pca_alpha.ini", 1, 1, 1, alpha=0.8)
+    assert (problem.n, spec.solver.max_iters) == (100, 1500)
+    _, result = estimate_pca(problem, spec.constants, spec.solver)
+    assert result.converged is True
+    assert result.stop_reason == "tolerance"
+    assert result.iterations < 1500
 
 
 # ---------------------------------------------------------------------------

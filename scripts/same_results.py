@@ -1,0 +1,104 @@
+"""Check that two git revisions write byte-identical CSVs for every config.
+
+    python3 scripts/same_results.py --base REV --head REV [--workdir DIR]
+
+Run from the repository root.  Each revision is exported with ``git archive``
+(``bench_pairs.export``).  In one subprocess per revision, with
+``OPENBLAS_NUM_THREADS=1``, every config under that revision's ``configs/``
+runs serially, trimmed to its first grid point and one trial at seed 7, and
+writes its CSV.  The script then lists each config as
+``identical``, ``differs``, or missing on one side (a config that failed to
+run, or exists in one revision only), and exits 0 only if all are identical.
+
+A result-neutral change (a refactor, a speedup that must not move any
+iterate) should leave every line ``identical``.  The trimmed runs reach every
+scenario's code path in seconds; they do not replace the full sweeps.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export  # noqa: E402
+
+SEED = 7
+
+# runs in the exported checkout: python -c RUNNER OUT_DIR SEED
+RUNNER = """
+import dataclasses, sys, traceback
+from pathlib import Path
+from robust_huber.experiments import ExperimentSpec, emit_csv, grid_points, run_experiment
+
+out, seed = Path(sys.argv[1]), int(sys.argv[2])
+for path in sorted(Path("configs").glob("*.ini")):
+    try:
+        spec = ExperimentSpec.from_config(path, seed=seed)
+        first = grid_points(spec.grid)[0]
+        spec = dataclasses.replace(
+            spec, grid={k: [v] for k, v in first.items()}, trials_per_point=1
+        )
+        emit_csv(run_experiment(spec), out / (path.stem + ".csv"))
+    except Exception:
+        print(f"{path.name} failed:", file=sys.stderr)
+        traceback.print_exc()
+"""
+
+
+def run_configs(checkout: Path, out: Path, seed: int) -> None:
+    """Write one trimmed CSV per config of `checkout` into `out`, which must
+    not exist yet: a CSV left from an earlier run could pass for this one's."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
+    subprocess.run([sys.executable, "-c", RUNNER, str(out), str(seed)],
+                   cwd=checkout, env=env, check=True)
+
+
+def compare_csvs(base: Path, head: Path) -> dict[str, str]:
+    """Per CSV name in either directory: identical, differs, or missing on a side."""
+    names = sorted({p.name for p in base.glob("*.csv")} | {p.name for p in head.glob("*.csv")})
+    status = {}
+    for name in names:
+        a, b = base / name, head / name
+        if not a.exists():
+            status[name] = "missing in base"
+        elif not b.exists():
+            status[name] = "missing in head"
+        else:
+            status[name] = "identical" if a.read_bytes() == b.read_bytes() else "differs"
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision compared against")
+    parser.add_argument("--head", required=True, help="revision under test")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="a new directory where the revisions and their CSVs go, "
+                             "and stay (default: a temporary directory)")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.workdir or Path(tmp)
+        outs = {}
+        for side in ("base", "head"):
+            checkout = work / side
+            sha = export(getattr(args, side), checkout)
+            print(f"{side}: {sha}", file=sys.stderr)
+            outs[side] = work / f"{side}_csv"
+            run_configs(checkout, outs[side], SEED)
+        status = compare_csvs(outs["base"], outs["head"])
+    for name, state in status.items():
+        print(f"{name}: {state}")
+    same = sum(1 for state in status.values() if state == "identical")
+    print(f"{same}/{len(status)} configs byte-identical")
+    return 0 if status and same == len(status) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

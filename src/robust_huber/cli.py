@@ -14,17 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import trial_seed
-from .estimators import (
-    RegressionProblem,
-    estimate_pca,
-    estimate_sparse_regression,
-    frobenius_error,
-    parameter_error,
-    prediction_error,
-)
+from .estimators import RegressionProblem
 from .experiments import (
     NUMERIC_ERRORS as _NUMERIC_ERRORS,
     ExperimentSpec,
+    _solve,
     build_instance,
     emit_csv,
     emit_report,
@@ -71,30 +65,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _print_solve(result) -> None:
-    print(f"objective = {result.objective:.17g}")
-    print(f"iterations = {result.iterations}")
-    print(f"converged = {int(result.converged)}")
-    print(f"stop_reason = {result.stop_reason}")
-
-
 def cmd_solve(args) -> int:
     spec = _load_spec(args)
     p = _first_point(spec)
     problem = build_instance(spec, p, trial_seed(spec.seed, 0, 0))
-    if isinstance(problem, RegressionProblem):
-        estimate, result = estimate_sparse_regression(problem, spec.constants, spec.solver)
-        _print_solve(result)
-        if problem.beta_star is not None:
-            print(f"prediction_error_sq = {prediction_error(problem, estimate):.17g}")
-            print(f"parameter_error_sq = {parameter_error(problem, estimate):.17g}")
-            print(f"dominated = {int(bool(result.reference_dominated))}")
-    else:
-        estimate, result = estimate_pca(problem, spec.constants, spec.solver)
-        _print_solve(result)
-        if problem.L_star is not None:
-            print(f"frobenius_error = {frobenius_error(problem, estimate):.17g}")
-            print(f"dominated = {int(bool(result.reference_dominated))}")
+    estimate, result, metrics = _solve(spec, problem)
+    print(f"objective = {result.objective:.17g}")
+    print(f"iterations = {result.iterations}")
+    print(f"converged = {int(result.converged)}")
+    print(f"stop_reason = {result.stop_reason}")
+    for name, value in metrics.items():
+        print(f"{name} = {value:.17g}")
+    print(f"dominated = {int(bool(result.reference_dominated))}")
     if args.out:
         _write_matrix(args.out, estimate, "c")
         print(f"wrote estimate to {args.out}")

@@ -98,6 +98,10 @@ class RegressionProblem:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def default_huber_h(self) -> float:
+        return REGRESSION_HUBER_H
+
     def column_norm_bound(self) -> float:
         """nu with max_j ||X_j||^2 <= nu * n."""
         return float(np.max(np.sum(self.X * self.X, axis=0)) / self.n)
@@ -143,6 +147,11 @@ class PcaProblem:
     def rho(self) -> float:
         return self.rho_over_n * self.n
 
+    @property
+    def default_huber_h(self) -> float:
+        """zeta + rho/n, which also scales the regularization weight."""
+        return self.zeta + self.rho_over_n
+
 
 @dataclass(frozen=True)
 class EstimatorConstants:
@@ -168,7 +177,7 @@ def build_regression_composite(
         raise ValueError("regression requires d >= 2")
     X, y = problem.X, problem.y
     n, d = X.shape
-    h = constants.huber_h_override or REGRESSION_HUBER_H
+    h = constants.huber_h_override or problem.default_huber_h
     params = HuberParams(h)
     gamma = constants.gamma_scale * np.sqrt(n * np.log(d))
     # f'' <= 1 entrywise, so L = sigma_1(X)^2; a min(n, d)-sized eigvalsh, no SVD of X
@@ -195,9 +204,9 @@ def build_pca_composite(
     """Composite objective for the matrix estimator plus its constants."""
     Y = problem.Y
     n = problem.n
-    h = constants.huber_h_override or (problem.zeta + problem.rho_over_n)
+    h = constants.huber_h_override or problem.default_huber_h
     params = HuberParams(h)
-    gamma = constants.gamma_scale * np.sqrt(n) * (problem.zeta + problem.rho_over_n)
+    gamma = constants.gamma_scale * np.sqrt(n) * problem.default_huber_h
     ball = MaxNormBall(problem.rho_over_n)
 
     def smooth_eval(L):

@@ -47,7 +47,12 @@ from .estimators import (
 )
 from .lowerbound import phase_instance, phase_trial
 from .solver import SolverConfig, SolverDiverged
-from .verification import CertificateParams, RscSamplingError, assemble_certificate
+from .verification import (
+    CONDITION_NAMES,
+    CertificateParams,
+    RscSamplingError,
+    assemble_certificate,
+)
 
 __all__ = [
     "SCENARIOS",
@@ -92,7 +97,6 @@ class ExperimentSpec:
     params: dict
     trials_per_point: int = 1
     seed: int = 0
-    delta: float = 0.05
     constants: EstimatorConstants = EstimatorConstants()
     solver: SolverConfig = SolverConfig()
 
@@ -103,8 +107,6 @@ class ExperimentSpec:
             raise ValueError("grid must be non-empty")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
-        if not (0 < self.delta < 1):
-            raise ValueError("delta must lie in (0, 1)")
         SCENARIOS[self.scenario].check_keys(self.scenario, self.grid, self.params)
 
     @classmethod
@@ -127,7 +129,7 @@ class ExperimentSpec:
             raise ValueError(f"config {path} has no section [{scenario}]")
 
         grid, params = {}, {}
-        extras = {"trials_per_point": 1, "seed": 0, "delta": 0.05}
+        extras = {"trials_per_point": 1, "seed": 0}
         const_kw, solver_kw = {}, {}
         for key, raw in parser.items(scenario):
             if key.endswith("_grid"):
@@ -151,7 +153,6 @@ class ExperimentSpec:
             params=params,
             trials_per_point=int(extras["trials_per_point"]),
             seed=int(extras["seed"]),
-            delta=float(extras["delta"]),
             constants=EstimatorConstants(**const_kw),
             solver=SolverConfig(**{k: v for k, v in solver_kw.items()}),
         )
@@ -286,33 +287,35 @@ def build_instance(spec: ExperimentSpec, p: dict, instance_seed: int):
     return SCENARIOS[spec.scenario].family_for(p).build(p, instance_seed)
 
 
+def _solve(spec: ExperimentSpec, problem):
+    """Solve one instance with its kind's estimator: (estimate, SolveResult,
+    error metrics against the truth).  The estimators are called through this
+    module's globals, solver config third, so a wrapper set on those module
+    attributes sees every solve and its config."""
+    if isinstance(problem, RegressionProblem):
+        estimate, result = estimate_sparse_regression(problem, spec.constants, spec.solver)
+        metrics = {
+            "prediction_error_sq": prediction_error(problem, estimate),
+            "parameter_error_sq": parameter_error(problem, estimate),
+        }
+    else:
+        estimate, result = estimate_pca(problem, spec.constants, spec.solver)
+        metrics = {"frobenius_error": frobenius_error(problem, estimate)}
+    return estimate, result, metrics
+
+
 def run_certificate(spec: ExperimentSpec, p: dict, instance_seed: int):
     """Solve one instance and assemble its certificate."""
     problem = build_instance(spec, p, instance_seed)
-    cert_params = CertificateParams(
-        alpha=float(p["alpha"]), delta=spec.delta, seed=instance_seed
-    )
-    if isinstance(problem, RegressionProblem):
-        estimate, result = estimate_sparse_regression(problem, spec.constants, spec.solver)
-    else:
-        estimate, result = estimate_pca(problem, spec.constants, spec.solver)
+    estimate, result, _ = _solve(spec, problem)
+    cert_params = CertificateParams(alpha=float(p["alpha"]), seed=instance_seed)
     cert = assemble_certificate(problem, estimate, spec.constants, cert_params)
     return problem, estimate, result, cert
 
 
 def _solve_metrics(spec, p, instance_seed):
-    problem = build_instance(spec, p, instance_seed)
-    if isinstance(problem, RegressionProblem):
-        est, result = estimate_sparse_regression(problem, spec.constants, spec.solver)
-        metrics = {
-            "prediction_error_sq": prediction_error(problem, est),
-            "parameter_error_sq": parameter_error(problem, est),
-        }
-    else:
-        est, result = estimate_pca(problem, spec.constants, spec.solver)
-        metrics = {"frobenius_error": frobenius_error(problem, est)}
-    flags = {"dominated": bool(result.reference_dominated)}
-    return metrics, result.iterations, flags
+    _, result, metrics = _solve(spec, build_instance(spec, p, instance_seed))
+    return metrics, result.iterations, {"dominated": bool(result.reference_dominated)}
 
 
 def _phase_metrics(spec, p, instance_seed):
@@ -685,20 +688,16 @@ def _phase_checks(p, rows):
     return out
 
 
-_CONDITIONS = ("decomposability", "contraction", "gradient_bound",
-               "restricted_convexity", "radius_bound")
-
-
 def _meta_checks(p, rows):
     all_flags = all(
-        all(r.flags.get(c, False) for c in _CONDITIONS) for r in rows
+        all(r.flags.get(c, False) for c in CONDITION_NAMES) for r in rows
     ) and len(rows) > 0
     cone = all(r.flags.get("cone_membership", False) for r in rows) and rows
     err_lt = all(r.flags.get("error_lt_radius", False) for r in rows) and rows
     violation = [
         r
         for r in rows
-        if all(r.flags.get(c, False) for c in _CONDITIONS)
+        if all(r.flags.get(c, False) for c in CONDITION_NAMES)
         and r.flags.get("dominated", False)
         and not r.flags.get("error_lt_radius", False)
     ]

@@ -6,6 +6,11 @@ decomposability of the regularizer, the cone contraction constant s, the dual
 norm of the loss gradient at the truth, restricted strong convexity kappa on
 the expansion cone at a given radius, and the radius formula R = 4*gamma*s/kappa.
 
+The recovery argument is written once, for both problem kinds: `_kind` is the
+module's one switch on the problem type, and hands assemble_certificate and
+estimate_rsc each kind's ingredients (truth and residual, the error norm E,
+the cone and its s, the curvature scale, and the matrix problem's box).
+
 All Monte-Carlo checks draw per-trial generators keyed by (seed, tag, trial),
 so results do not depend on scheduling, and adding trials never flips an
 earlier draw (prefix stability).
@@ -15,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .datagen import stream_rng
 from .estimators import (
-    REGRESSION_HUBER_H,
     EstimatorConstants,
     PcaProblem,
     RegressionProblem,
@@ -30,7 +34,7 @@ from .estimators import (
 )
 from .huber import HuberParams, huber_loss, huber_loss_grad
 from .prox import dual_norm_linf, dual_norm_spectral, nuclear_norm
-from .solver import certify_against_reference, composite_objective
+from .solver import certify_against_reference
 
 __all__ = [
     "SparseCone",
@@ -51,6 +55,15 @@ __all__ = [
 ]
 
 _T_DECOMP, _T_CONTRACT, _T_RSC, _T_RE, _T_SPREAD, _T_CONC = 31, 37, 41, 43, 47, 53
+
+# certificate sample counts, fixed-point rounds and tolerances
+TRIALS_DECOMPOSABILITY = 100
+TRIALS_CONTRACTION = 400
+TRIALS_RSC = 300
+TRIALS_RE = 300
+RADIUS_ROUNDS = 20
+RADIUS_RTOL = 0.15  # kappa's radius and R agree within this: the radius is consistent
+MARGIN = 1e-6  # objective slack of the domination checks
 
 
 class RscSamplingError(RuntimeError):
@@ -102,6 +115,10 @@ class SparseCone:
             budget = (self.expansion - 1.0) * self.projection_norm(u)
             u[self.complement] = tail * (t * budget / l1_tail)
         return u
+
+    def subspace_samplers(self):
+        """Random elements of the model space and of its complement."""
+        return _l1_sampler(self.support, self.dim), _l1_sampler(self.complement, self.dim)
 
 
 @dataclass
@@ -195,6 +212,32 @@ class LowRankCone:
         c = t * (self.expansion - 1.0) * self._omega_bar_norm(A, M) / norm_B
         return A + c * B
 
+    def subspace_samplers(self):
+        """Random elements of the model space and of its complement."""
+        return (_nuclear_sampler(self.col_basis, self.row_basis),
+                _nuclear_sampler(self.col_perp, self.row_perp))
+
+
+def _l1_sampler(indices, d):
+    indices = np.asarray(indices, dtype=int)
+
+    def sample(rng):
+        u = np.zeros(d)
+        if indices.size:
+            u[indices] = rng.standard_normal(indices.size)
+        return u
+
+    return sample
+
+
+def _nuclear_sampler(left, right):
+    def sample(rng):
+        if left.shape[1] == 0 or right.shape[1] == 0:
+            return np.zeros((left.shape[0], right.shape[0]))
+        return left @ rng.standard_normal((left.shape[1], right.shape[1])) @ right.T
+
+    return sample
+
 
 def _orthogonal_complement(B) -> np.ndarray:
     n, r = B.shape
@@ -257,26 +300,14 @@ def measure_contraction(cone, error_metric: Callable, trials: int, seed: int) ->
 
 def loss_gradient_at_truth(problem, h: Optional[float] = None):
     """Gradient of the smooth loss at the true parameter."""
-    if isinstance(problem, RegressionProblem):
-        if problem.beta_star is None:
-            raise ValueError("problem carries no truth")
-        hh = h if h is not None else REGRESSION_HUBER_H
-        eta = problem.y - problem.X @ problem.beta_star
-        return -(problem.X.T @ huber_loss_grad(eta, HuberParams(hh)))
-    if isinstance(problem, PcaProblem):
-        if problem.L_star is None:
-            raise ValueError("problem carries no truth")
-        hh = h if h is not None else problem.zeta + problem.rho_over_n
-        return -huber_loss_grad(problem.Y - problem.L_star, HuberParams(hh))
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
+    kind = _kind(problem)
+    params = HuberParams(h if h is not None else problem.default_huber_h)
+    return -kind.adjoint(huber_loss_grad(kind.residual_at_truth(), params))
 
 
 def measure_gradient_dual_norm(problem, h: Optional[float] = None) -> float:
     """Dual norm (l-inf or spectral) of the loss gradient at the truth."""
-    g = loss_gradient_at_truth(problem, h=h)
-    if isinstance(problem, RegressionProblem):
-        return dual_norm_linf(g)
-    return dual_norm_spectral(g)
+    return _kind(problem).dual_norm(loss_gradient_at_truth(problem, h=h))
 
 
 def gradient_bound_regression(nu: float, n: int, d: int, delta: float) -> float:
@@ -310,67 +341,41 @@ def estimate_rsc(
         min_u [F(truth + u) - F(truth) - <grad F(truth), u>] / (radius^2 / 2).
 
     This is a one-sided (upper) estimate of the restricted strong convexity
-    constant at that radius.  For the matrix problem, samples leaving the box
-    are rejected; RscSamplingError is raised when too few are feasible.
+    constant at that radius.  A sampled direction with E(u) = 0 raises
+    RscSamplingError.  For the matrix problem, samples leaving the box are
+    rejected; RscSamplingError is raised when too few are feasible.
     """
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    if isinstance(problem, RegressionProblem):
-        hh = h if h is not None else REGRESSION_HUBER_H
-        params = HuberParams(hh)
-        eta = problem.y - problem.X @ problem.beta_star
-        base = huber_loss(eta, params)
-        clip_eta = huber_loss_grad(eta, params)
-        sqrt_n = np.sqrt(problem.n)
-        worst = np.inf
-        for i in range(trials):
-            rng = stream_rng(seed, _T_RSC, i)
-            u = cone.sample(rng)
-            v = problem.X @ u
-            e = float(np.linalg.norm(v)) / sqrt_n
-            if e <= 1e-14:
-                raise RscSamplingError("sampled direction with zero prediction norm")
-            v *= radius / e
-            bracket = huber_loss(eta - v, params) - base + float(np.dot(clip_eta, v))
-            worst = min(worst, bracket / (0.5 * radius * radius))
-        return float(worst)
-
-    if isinstance(problem, PcaProblem):
-        hh = h if h is not None else problem.zeta + problem.rho_over_n
-        params = HuberParams(hh)
-        N = problem.Y - problem.L_star
-        base = huber_loss(N, params)
-        clip_N = huber_loss_grad(N, params)
-        bound = problem.rho_over_n * (1 + 1e-12)
-        worst = np.inf
-        found = 0
-        attempts = 0
-        max_attempts = max_attempt_factor * trials
-        i = 0
-        while found < trials and attempts < max_attempts:
-            rng = stream_rng(seed, _T_RSC, i)
-            i += 1
-            attempts += 1
-            u = cone.sample(rng)
-            norm_u = float(np.linalg.norm(u))
-            if norm_u <= 1e-14:
-                continue
-            u = u * (radius / norm_u)
-            if np.max(np.abs(problem.L_star + u)) > bound:
-                continue
-            found += 1
-            bracket = huber_loss(N - u, params) - base + float(np.vdot(clip_N, u))
-            worst = min(worst, bracket / (0.5 * radius * radius))
-        if found < trials:
-            raise RscSamplingError(
-                f"only {found}/{trials} feasible cone samples at radius {radius:.6g}"
-            )
-        return float(worst)
-
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
+    kind = _kind(problem)
+    params = HuberParams(h if h is not None else problem.default_huber_h)
+    resid = kind.residual_at_truth()
+    base = huber_loss(resid, params)
+    clip = huber_loss_grad(resid, params)
+    worst = np.inf
+    found = 0
+    i = 0
+    while found < trials and i < max_attempt_factor * trials:
+        rng = stream_rng(seed, _T_RSC, i)
+        i += 1
+        # v = image of u, scaled to E(u) = radius; the loss sees truth + u as resid - v
+        v = kind.image(cone.sample(rng))
+        e = float(np.linalg.norm(v)) / kind.scale
+        if e <= 1e-14:
+            raise RscSamplingError("sampled cone direction u with E(u) = 0")
+        v *= radius / e
+        if kind.box is not None and np.max(np.abs(kind.truth + v)) > kind.box:
+            continue
+        found += 1
+        bracket = huber_loss(resid - v, params) - base + float(np.vdot(clip, v))
+        worst = min(worst, bracket / (0.5 * radius * radius))
+    if found < trials:
+        raise RscSamplingError(
+            f"only {found}/{trials} feasible cone samples at radius {radius:.6g}"
+        )
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -516,24 +521,17 @@ def check_gaussian_concentration(
 
 @dataclass(frozen=True)
 class CertificateParams:
-    """Knobs for assemble_certificate.
+    """Per-instance inputs of assemble_certificate.
 
     alpha is the inlier rate of the noise law; the restricted-convexity flag
     compares the measured kappa against 0.01*alpha*n (regression) or
-    0.01*alpha (matrix problem).
+    0.01*alpha (matrix problem).  seed keys every Monte-Carlo check.  Sample
+    counts and tolerances are the module constants TRIALS_*, RADIUS_* and
+    MARGIN.
     """
 
     alpha: float
-    delta: float = 0.05
     seed: int = 0
-    expansion: float = 4.0
-    trials_decomposability: int = 100
-    trials_contraction: int = 400
-    trials_rsc: int = 300
-    trials_re: int = 300
-    radius_rounds: int = 20
-    radius_rtol: float = 0.15
-    margin: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -604,67 +602,134 @@ class MetaCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _l1_sampler(indices, d):
-    indices = np.asarray(indices, dtype=int)
+class _Geometry(NamedTuple):
+    """The cone around one truth, and the radii the matrix problem's box allows."""
 
-    def sample(rng):
-        u = np.zeros(d)
-        if indices.size:
-            u[indices] = rng.standard_normal(indices.size)
-        return u
-
-    return sample
+    cone: object  # SparseCone or LowRankCone
+    s: float  # contraction constant: sup over the cone of ||u||_reg / E(u)
+    lambda_hat: Optional[float]  # sampled restricted eigenvalue (regression)
+    radius_cap: float = np.inf  # largest radius with feasible cone samples
+    feasible_diameter: float = np.inf  # beyond it the cone shell leaves the box
 
 
-def _nuclear_sampler(left, right):
-    def sample(rng):
-        if left.shape[1] == 0 or right.shape[1] == 0:
-            return np.zeros((left.shape[0], right.shape[0]))
-        return left @ rng.standard_normal((left.shape[1], right.shape[1])) @ right.T
+@dataclass(frozen=True)
+class _Kind:
+    """What the recovery argument needs from one problem kind."""
 
-    return sample
+    truth: Optional[np.ndarray]
+    residual: Callable  # parameter -> observation residual: y - X b, or Y - L
+    image: Callable  # direction u -> the vector E measures: X u, or u
+    adjoint: Callable  # adjoint of image: X^T g, or g
+    scale: float  # E(u) = ||image(u)|| / scale: sqrt(n), or 1
+    box: Optional[float]  # bound on |truth + u| entrywise (matrix problem, image u)
+    dual_norm: Callable  # dual of the regularizer norm: l-inf, or spectral
+    kappa_scale: float  # curvature in the quadratic regime: n, or 1
+    build_composite: Callable  # (problem, constants) -> (composite, info)
+    geometry: Callable  # seed -> _Geometry; needs the truth
+
+    def residual_at_truth(self) -> np.ndarray:
+        if self.truth is None:
+            raise ValueError("problem carries no truth")
+        return self.residual(self.truth)
+
+    def error(self, u) -> float:
+        """The error norm E(u): ||X u|| / sqrt(n), or ||u||_F."""
+        return float(np.linalg.norm(self.image(u))) / self.scale
 
 
-def _radius_fixed_point(problem, cone, gamma, s, params, h, kappa_init, radius_cap=None):
-    """Iterate R -> 4*gamma*s/kappa(R) with geometric damping.
+def _kind(problem) -> _Kind:
+    """The ingredients of problem's kind: the module's one switch on it."""
+    match problem:
+        case RegressionProblem():
+            X = problem.X
+
+            def regression_geometry(seed):
+                if problem.beta_star is None:
+                    raise ValueError("certificate requires ground truth")
+                lambda_hat = check_re_property(X, problem.support, TRIALS_RE, seed)
+                s = 4.0 * np.sqrt(problem.k / lambda_hat) if lambda_hat > 0 else np.inf
+                return _Geometry(SparseCone(problem.support, problem.d), s, lambda_hat)
+
+            return _Kind(
+                truth=problem.beta_star,
+                residual=lambda beta: problem.y - X @ beta,
+                image=lambda u: X @ u,
+                adjoint=lambda g: X.T @ g,
+                scale=np.sqrt(problem.n),
+                box=None,
+                dual_norm=dual_norm_linf,
+                kappa_scale=float(problem.n),
+                build_composite=build_regression_composite,
+                geometry=regression_geometry,
+            )
+        case PcaProblem():
+            L_star, rho_over_n = problem.L_star, problem.rho_over_n
+
+            def pca_geometry(seed):
+                if L_star is None or problem.r is None:
+                    raise ValueError("certificate requires ground truth with rank metadata")
+                gap = rho_over_n - float(np.max(np.abs(L_star)))
+                return _Geometry(
+                    LowRankCone.from_truth(L_star, r=problem.r),
+                    4.0 * np.sqrt(2.0 * problem.r),
+                    None,
+                    radius_cap=0.8 * gap * problem.n / 4.5 if gap > 0 else 0.0,
+                    # largest Frobenius distance reachable inside the box from
+                    # L_star; beyond it the curvature condition is vacuous
+                    feasible_diameter=float(np.linalg.norm(rho_over_n + np.abs(L_star))),
+                )
+
+            return _Kind(
+                truth=L_star,
+                residual=lambda L: problem.Y - L,
+                image=lambda u: u,
+                adjoint=lambda g: g,
+                scale=1.0,
+                box=rho_over_n * (1 + 1e-12),
+                dual_norm=dual_norm_spectral,
+                kappa_scale=1.0,
+                build_composite=build_pca_composite,
+                geometry=pca_geometry,
+            )
+    raise TypeError(f"unsupported problem type {type(problem)!r}")
+
+
+def _radius_fixed_point(problem, cone, gamma, s, seed, h, kappa_init, radius_cap):
+    """Iterate R -> 4*gamma*s/kappa(R) with geometric damping, R <= radius_cap.
 
     kappa_init should be the quadratic-regime curvature (n for regression, 1
     for the matrix problem), so the iteration starts at the smallest plausible
     radius and grows only if the measured curvature is weaker.  Returns
     (kappa, kappa_radius, R, consistent): kappa is measured at kappa_radius,
     R is exactly 4*gamma*s/kappa, and consistent means the two radii agree
-    within radius_rtol (the curvature was checked essentially at R).
+    within RADIUS_RTOL (the curvature was checked essentially at R).
     """
-    quick_trials = max(40, params.trials_rsc // 4)
-    R_cur = 4.0 * gamma * s / kappa_init
-    if radius_cap is not None:
-        R_cur = min(R_cur, radius_cap)
+    quick_trials = max(40, TRIALS_RSC // 4)
+    R_cur = min(4.0 * gamma * s / kappa_init, radius_cap)
     if not np.isfinite(R_cur) or R_cur <= 0:
         # zero gradient at the truth collapses the radius to zero; an infinite
         # contraction constant makes it unbounded.  Report curvature at a
         # nominal radius instead of iterating.
-        nominal = 1e-3 if radius_cap is None else min(1e-3, radius_cap)
-        kappa = estimate_rsc(problem, cone, nominal, params.trials_rsc, params.seed, h=h)
+        nominal = min(1e-3, radius_cap)
+        kappa = estimate_rsc(problem, cone, nominal, TRIALS_RSC, seed, h=h)
         if R_cur <= 0 and kappa > 0:
             return kappa, nominal, 0.0, True
         return kappa, nominal, np.inf, False
     kappa = None
-    for _ in range(params.radius_rounds):
-        kappa = estimate_rsc(problem, cone, R_cur, quick_trials, params.seed, h=h)
+    for _ in range(RADIUS_ROUNDS):
+        kappa = estimate_rsc(problem, cone, R_cur, quick_trials, seed, h=h)
         if kappa <= 0:
             return kappa, R_cur, np.inf, False
-        R_next = 4.0 * gamma * s / kappa
-        if radius_cap is not None:
-            R_next = min(R_next, radius_cap)
+        R_next = min(4.0 * gamma * s / kappa, radius_cap)
         if abs(R_next - R_cur) <= 0.02 * R_cur:
             R_cur = R_next
             break
         R_cur = float(np.sqrt(R_cur * R_next))
-    kappa = estimate_rsc(problem, cone, R_cur, params.trials_rsc, params.seed, h=h)
+    kappa = estimate_rsc(problem, cone, R_cur, TRIALS_RSC, seed, h=h)
     if kappa <= 0:
         return kappa, R_cur, np.inf, False
     R = 4.0 * gamma * s / kappa
-    consistent = abs(R - R_cur) <= params.radius_rtol * max(R, 1e-30)
+    consistent = abs(R - R_cur) <= RADIUS_RTOL * max(R, 1e-30)
     return kappa, R_cur, R, consistent
 
 
@@ -681,148 +746,46 @@ def assemble_certificate(
     gradient-bound flag checks that the estimator's regularization weight
     dominates gamma_measured, which is the form of the condition the computed
     estimate actually relies on; radius_est = 4*gamma_est*s/kappa is the
-    radius certified for that weight.
+    radius certified for that weight.  For the matrix problem a radius beyond
+    the box's feasible diameter leaves the curvature condition vacuous
+    (rsc_vacuous), and the radius bound then holds without consistency.
     """
-    if isinstance(problem, RegressionProblem):
-        return _assemble_regression(problem, estimate, constants, params)
-    if isinstance(problem, PcaProblem):
-        return _assemble_pca(problem, estimate, constants, params)
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
-
-
-def _assemble_regression(problem, estimate, constants, params):
-    if problem.beta_star is None:
-        raise ValueError("certificate requires ground truth")
-    composite, info = build_regression_composite(problem, constants)
+    kind = _kind(problem)
+    geo = kind.geometry(params.seed)
+    cone, s, truth = geo.cone, geo.s, kind.truth
+    composite, info = kind.build_composite(problem, constants)
     h, gamma_est = info["h"], info["gamma"]
-    X, support, d = problem.X, problem.support, problem.d
-    n, k = problem.n, problem.k
-    sqrt_n = np.sqrt(n)
 
     gamma_measured = 2.0 * measure_gradient_dual_norm(problem, h=h)
-    lambda_hat = check_re_property(X, support, params.trials_re, params.seed)
-    s = 4.0 * np.sqrt(k / lambda_hat) if lambda_hat > 0 else np.inf
-
-    cone = SparseCone(support, d, params.expansion)
     decomp = check_decomposability(
-        lambda u: float(np.sum(np.abs(u))),
-        _l1_sampler(support, d),
-        _l1_sampler(np.setdiff1d(np.arange(d), support), d),
-        params.trials_decomposability,
-        params.seed,
+        cone.reg_norm, *cone.subspace_samplers(), TRIALS_DECOMPOSABILITY, params.seed
     )
-    metric = lambda u: float(np.linalg.norm(X @ u)) / sqrt_n
     contraction_measured = measure_contraction(
-        cone, metric, params.trials_contraction, params.seed
+        cone, kind.error, TRIALS_CONTRACTION, params.seed
     )
-
+    if geo.radius_cap <= 0:
+        raise RscSamplingError("truth sits on the box boundary; no feasible cone samples exist")
     kappa, kappa_radius, R, consistent = _radius_fixed_point(
-        problem, cone, gamma_measured, s, params, h, kappa_init=float(n)
+        problem, cone, gamma_measured, s, params.seed, h, kind.kappa_scale, geo.radius_cap
     )
     radius_formula_ok = bool(kappa > 0 and np.isfinite(R))
+    rsc_vacuous = bool(radius_formula_ok and R > geo.feasible_diameter)
 
     conditions = {
         "decomposability": bool(decomp),
         "contraction": bool(np.isfinite(s) and contraction_measured <= s * (1 + 1e-9)),
         "gradient_bound": bool(gamma_measured <= gamma_est * (1 + 1e-12)),
-        "restricted_convexity": bool(kappa >= 0.01 * params.alpha * n),
-        "radius_bound": bool(radius_formula_ok and consistent),
-    }
-
-    delta_hat = np.asarray(estimate, dtype=float) - problem.beta_star
-    err = metric(delta_hat)
-    cone_ok = cone.member(delta_hat, rtol=1e-6)
-    dominated_est = certify_against_reference(
-        composite, estimate, problem.beta_star, params.margin
-    )
-    hp = HuberParams(h)
-    obj_meas = lambda b: huber_loss(problem.y - X @ b, hp) + gamma_measured * float(
-        np.sum(np.abs(b))
-    )
-    dominated_meas = bool(
-        obj_meas(np.asarray(estimate, dtype=float))
-        <= obj_meas(problem.beta_star) + params.margin
-    )
-
-    return MetaCertificate(
-        gamma_measured=gamma_measured,
-        s=s,
-        kappa=kappa,
-        R=R,
-        conditions=conditions,
-        radius_formula_ok=radius_formula_ok,
-        kappa_radius=kappa_radius,
-        rsc_vacuous=False,
-        lambda_hat=lambda_hat,
-        contraction_measured=contraction_measured,
-        cone_membership_ok=cone_ok,
-        error_value=err,
-        error_lt_radius=bool(err < R),
-        gamma_est=gamma_est,
-        radius_est=4.0 * gamma_est * s / kappa if kappa > 0 else np.inf,
-        dominated_est=dominated_est,
-        dominated_meas=dominated_meas,
-    )
-
-
-def _assemble_pca(problem, estimate, constants, params):
-    if problem.L_star is None or problem.r is None:
-        raise ValueError("certificate requires ground truth with rank metadata")
-    composite, info = build_pca_composite(problem, constants)
-    h, gamma_est = info["h"], info["gamma"]
-    n, r = problem.n, problem.r
-    L_star = problem.L_star
-
-    gamma_measured = 2.0 * measure_gradient_dual_norm(problem, h=h)
-    s = 4.0 * np.sqrt(2.0 * r)
-
-    cone = LowRankCone.from_truth(L_star, r=r, expansion=params.expansion)
-    decomp = check_decomposability(
-        nuclear_norm,
-        _nuclear_sampler(cone.col_basis, cone.row_basis),
-        _nuclear_sampler(cone.col_perp, cone.row_perp),
-        params.trials_decomposability,
-        params.seed,
-    )
-    contraction_measured = measure_contraction(
-        cone, lambda M: float(np.linalg.norm(M)), params.trials_contraction, params.seed
-    )
-
-    # largest Frobenius distance reachable inside the box from L_star; beyond
-    # it the radius-R cone shell is empty and the curvature condition is vacuous
-    feasible_diameter = float(
-        np.linalg.norm(problem.rho_over_n + np.abs(L_star))
-    )
-    gap = problem.rho_over_n - float(np.max(np.abs(L_star)))
-    sampling_cap = 0.8 * gap * n / 4.5 if gap > 0 else 0.0
-    if sampling_cap <= 0:
-        raise RscSamplingError(
-            "truth sits on the box boundary; no feasible cone samples exist"
-        )
-    kappa, kappa_radius, R, consistent = _radius_fixed_point(
-        problem, cone, gamma_measured, s, params, h, kappa_init=1.0,
-        radius_cap=sampling_cap,
-    )
-    radius_formula_ok = bool(kappa > 0 and np.isfinite(R))
-    rsc_vacuous = bool(radius_formula_ok and R > feasible_diameter)
-
-    conditions = {
-        "decomposability": bool(decomp),
-        "contraction": bool(contraction_measured <= s * (1 + 1e-9)),
-        "gradient_bound": bool(gamma_measured <= gamma_est * (1 + 1e-12)),
-        "restricted_convexity": bool(kappa >= 0.01 * params.alpha),
+        "restricted_convexity": bool(kappa >= 0.01 * params.alpha * kind.kappa_scale),
         "radius_bound": bool(radius_formula_ok and (consistent or rsc_vacuous)),
     }
 
-    delta_hat = np.asarray(estimate, dtype=float) - L_star
-    err = float(np.linalg.norm(delta_hat))
-    cone_ok = cone.member(delta_hat, rtol=1e-6)
-    dominated_est = certify_against_reference(composite, estimate, L_star, params.margin)
+    point = np.asarray(estimate, dtype=float)
+    delta_hat = point - truth
+    err = kind.error(delta_hat)
     hp = HuberParams(h)
-    obj_meas = lambda L: huber_loss(problem.Y - L, hp) + gamma_measured * nuclear_norm(L)
-    dominated_meas = bool(
-        obj_meas(np.asarray(estimate, dtype=float)) <= obj_meas(L_star) + params.margin
-    )
+
+    def objective_meas(x):
+        return huber_loss(kind.residual(x), hp) + gamma_measured * cone.reg_norm(x)
 
     return MetaCertificate(
         gamma_measured=gamma_measured,
@@ -833,13 +796,13 @@ def _assemble_pca(problem, estimate, constants, params):
         radius_formula_ok=radius_formula_ok,
         kappa_radius=kappa_radius,
         rsc_vacuous=rsc_vacuous,
-        lambda_hat=None,
+        lambda_hat=geo.lambda_hat,
         contraction_measured=contraction_measured,
-        cone_membership_ok=cone_ok,
+        cone_membership_ok=cone.member(delta_hat, rtol=1e-6),
         error_value=err,
         error_lt_radius=bool(err < R),
         gamma_est=gamma_est,
         radius_est=4.0 * gamma_est * s / kappa if kappa > 0 else np.inf,
-        dominated_est=dominated_est,
-        dominated_meas=dominated_meas,
+        dominated_est=certify_against_reference(composite, estimate, truth, MARGIN),
+        dominated_meas=bool(objective_meas(point) <= objective_meas(truth) + MARGIN),
     )

@@ -82,8 +82,9 @@ def test_spec_validation():
         tiny_regression_spec(grid={"n": []})
     with pytest.raises(ValueError):
         tiny_regression_spec(trials_per_point=0)
-    with pytest.raises(ValueError):
-        tiny_regression_spec(delta=1.0)
+    # nothing reads a confidence level delta, so it is an unknown key
+    with pytest.raises(ValueError, match="delta"):
+        tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 0.8, "delta": 0.05})
 
 
 def test_result_row_validation():
@@ -828,6 +829,7 @@ def test_cli_verify_without_alpha(tmp_path):
     "name, ini, message",
     [
         ("typo", TINY_REGRESSION_INI + "max_iter = 100\n", "max_iter"),
+        ("dead_delta", TINY_REGRESSION_INI + "delta = 0.05\n", "delta"),
         ("completion_without_r", TINY_COMPLETION_INI.replace("r = 1\n", ""), "['r']"),
         (
             "bogus_family",

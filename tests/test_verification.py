@@ -32,7 +32,7 @@ from robust_huber import (
     estimate_pca,
     estimate_sparse_regression,
 )
-from robust_huber.verification import CONDITION_NAMES, loss_gradient_at_truth
+from robust_huber.verification import CONDITION_NAMES, RADIUS_RTOL, loss_gradient_at_truth
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +528,26 @@ def test_certificate_pca_in_regime():
     assert cert.error_lt_radius
     assert cert.lambda_hat is None
     assert cert.s == pytest.approx(4.0 * np.sqrt(2.0))
+
+
+def test_certificate_pca_radius_beyond_the_box_is_vacuous():
+    # at alpha 0.2 the measured curvature is weak and R far exceeds the
+    # largest Frobenius distance the box allows; kappa was measured at the
+    # sampling cap, so R and kappa's radius disagree and only the vacuous
+    # clause lets the radius condition hold
+    noise = NoiseSpec("symmetric_mixture", alpha=0.2)
+    prob = make_pca_instance(20, 1, noise, 1.0, seed=1, l_scale=0.5)
+    constants = EstimatorConstants(gamma_scale=2.0)
+    L_hat, _ = estimate_pca(prob, constants, SolverConfig(max_iters=1500, rel_tol=1e-5))
+    cert = assemble_certificate(
+        prob, L_hat, constants, CertificateParams(alpha=0.2, seed=1)
+    )
+    feasible_diameter = np.linalg.norm(prob.rho_over_n + np.abs(prob.L_star))
+    assert cert.radius_formula_ok
+    assert cert.R > feasible_diameter
+    assert cert.rsc_vacuous
+    assert abs(cert.R - cert.kappa_radius) > RADIUS_RTOL * cert.R
+    assert cert.conditions["radius_bound"]
 
 
 def test_certificate_fails_when_all_residuals_clip():

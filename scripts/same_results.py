@@ -9,6 +9,8 @@ runs serially, trimmed to its first grid point and one trial at seed 7, and
 writes its CSV.  The script then lists each config as
 ``identical``, ``differs``, or missing on one side (a config that failed to
 run, or exists in one revision only), and exits 0 only if all are identical.
+Under each config that differs it prints the first differing CSV line of
+each side, which names the grid point and trial that moved.
 
 A result-neutral change (a refactor, a speedup that must not move any
 iterate) should leave every line ``identical``.  The trimmed runs reach every
@@ -18,6 +20,7 @@ scenario's code path in seconds; they do not replace the full sweeps.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -74,6 +77,16 @@ def compare_csvs(base: Path, head: Path) -> dict[str, str]:
     return status
 
 
+def first_difference(base: Path, head: Path) -> tuple[int, str, str]:
+    """1-based number and text of the first line where two files differ, each
+    line with its line ending; a side that has no such line gives ''."""
+    with open(base, newline="") as fa, open(head, newline="") as fb:
+        for number, (a, b) in enumerate(itertools.zip_longest(fa, fb, fillvalue=""), start=1):
+            if a != b:
+                return number, a, b
+    raise ValueError(f"{base.name} is the same on both sides")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision compared against")
@@ -93,8 +106,14 @@ def main(argv=None) -> int:
             outs[side] = work / f"{side}_csv"
             run_configs(checkout, outs[side], SEED)
         status = compare_csvs(outs["base"], outs["head"])
+        moved = {name: first_difference(outs["base"] / name, outs["head"] / name)
+                 for name, state in status.items() if state == "differs"}
     for name, state in status.items():
         print(f"{name}: {state}")
+        if name in moved:
+            number, a, b = moved[name]
+            print(f"  line {number} base: {a!r}")
+            print(f"  line {number} head: {b!r}")
     same = sum(1 for state in status.values() if state == "identical")
     print(f"{same}/{len(status)} configs byte-identical")
     return 0 if status and same == len(status) else 1

@@ -270,11 +270,9 @@ def make_regression_instance(
     X = gen_gaussian_design(n, d, sigma, seed)
     beta, support = gen_sparse_signal(d, signal, seed)
     eta = gen_oblivious_noise_vector(n, noise, seed)
-    problem = RegressionProblem(
+    return RegressionProblem(
         X=X, y=X @ beta + eta, beta_star=beta, support=support, k=signal.k
     )
-    problem.nu = problem.column_norm_bound()
-    return problem
 
 
 def make_gaussian_design_instance(

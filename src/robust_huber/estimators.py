@@ -18,7 +18,7 @@ eigenvalue of the smaller Gram matrix (X^T X, or X X^T for a wide design).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,9 +59,6 @@ class RegressionProblem:
     beta_star: Optional[np.ndarray] = None
     support: Optional[np.ndarray] = None
     k: Optional[int] = None
-    re_lambda: Optional[float] = None
-    nu: Optional[float] = None
-    m: Optional[int] = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -193,8 +190,9 @@ def build_regression_composite(
         prox=lambda v, t: prox_l1(v, t * gamma),
         reg_value=lambda beta: gamma * float(np.sum(np.abs(beta))),
         shape=(d,),
+        lipschitz=lipschitz,
     )
-    info = {"gamma": gamma, "h": h, "lipschitz": lipschitz}
+    info = {"gamma": gamma, "h": h}
     return composite, info
 
 
@@ -219,8 +217,9 @@ def build_pca_composite(
         reg_value=lambda L: gamma * nuclear_norm(L),
         shape=(n, n),
         constraint=ball,
+        lipschitz=1.0,  # the Huber second derivative is at most 1
     )
-    info = {"gamma": gamma, "h": h, "lipschitz": 1.0}
+    info = {"gamma": gamma, "h": h}
     return composite, info
 
 
@@ -230,12 +229,11 @@ def estimate_sparse_regression(
     config: SolverConfig = SolverConfig(),
 ) -> tuple[np.ndarray, SolveResult]:
     """Solve the l1-penalized Huber regression from the zero start."""
-    composite, info = build_regression_composite(problem, constants)
-    step = min(config.initial_step, 1.0 / max(info["lipschitz"], 1e-30))
-    result = solve_fista(composite, replace(config, initial_step=step), np.zeros(problem.d))
+    composite, _ = build_regression_composite(problem, constants)
+    result = solve_fista(composite, config, np.zeros(problem.d))
     if problem.beta_star is not None:
         result.reference_dominated = certify_against_reference(
-            composite, result.point, problem.beta_star, config.objective_reference_margin
+            composite, result.point, problem.beta_star
         )
     return result.point, result
 
@@ -248,17 +246,16 @@ def estimate_pca(
     """Solve the box-constrained nuclear-penalized Huber problem.
 
     Starts from the box projection of Y.  The splitting step starts at, and
-    never exceeds, min(config.initial_step, 1/L) with L = 1 the smooth
-    Lipschitz constant of this residual structure; solve_split adapts it by
-    residual balancing and stops on a residual normalised by the step.
+    never exceeds, 1/lipschitz = 1 (the Huber loss of Y - L has a 1-Lipschitz
+    gradient); solve_split adapts it by residual balancing, stops on a
+    residual normalised by the step and returns its last feasible iterate.
     """
-    composite, info = build_pca_composite(problem, constants)
-    step = min(config.initial_step, 1.0 / info["lipschitz"])
+    composite, _ = build_pca_composite(problem, constants)
     start = project_maxnorm(problem.Y, composite.constraint)
-    result = solve_split(composite, replace(config, initial_step=step), start)
+    result = solve_split(composite, config, start)
     if problem.L_star is not None:
         result.reference_dominated = certify_against_reference(
-            composite, result.point, problem.L_star, config.objective_reference_margin
+            composite, result.point, problem.L_star
         )
     return result.point, result
 

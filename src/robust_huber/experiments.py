@@ -20,7 +20,7 @@ import csv
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import log
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -69,8 +69,6 @@ __all__ = [
     "build_instance",
     "run_certificate",
 ]
-
-_SOLVER_KEYS = ("max_iters", "rel_tol", "initial_step", "backtrack_factor")
 
 # numeric failures of one trial; the CLI exits with its numeric code on these
 NUMERIC_ERRORS = (
@@ -131,6 +129,8 @@ class ExperimentSpec:
         grid, params = {}, {}
         extras = {"trials_per_point": 1, "seed": 0}
         const_kw, solver_kw = {}, {}
+        const_keys = {f.name for f in fields(EstimatorConstants)}
+        solver_keys = {f.name for f in fields(SolverConfig)}
         for key, raw in parser.items(scenario):
             if key.endswith("_grid"):
                 values = [_parse_scalar(tok) for tok in raw.replace(",", " ").split()]
@@ -139,9 +139,9 @@ class ExperimentSpec:
                 grid[key[: -len("_grid")]] = values
             elif key in extras:
                 extras[key] = _parse_scalar(raw)
-            elif key in ("gamma_scale", "huber_h_override"):
+            elif key in const_keys:
                 const_kw[key] = float(raw)
-            elif key in _SOLVER_KEYS:
+            elif key in solver_keys:
                 solver_kw[key] = _parse_scalar(raw)
             else:
                 params[key] = _parse_scalar(raw)
@@ -154,7 +154,7 @@ class ExperimentSpec:
             trials_per_point=int(extras["trials_per_point"]),
             seed=int(extras["seed"]),
             constants=EstimatorConstants(**const_kw),
-            solver=SolverConfig(**{k: v for k, v in solver_kw.items()}),
+            solver=SolverConfig(**solver_kw),
         )
 
 

@@ -8,7 +8,10 @@ Two routines share the SolveResult contract:
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
-  solve by residual balancing, with config.initial_step as the largest step.
+  solve by residual balancing, and it returns its last feasible iterate.
+
+Both take their first step, and solve_split its largest, as 1/lipschitz from
+the CompositeProblem: the step belongs to the problem, not to the config.
 
 solve_fista terminates on the prox-gradient fixed-point residual
 ||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol; solve_split on
@@ -20,7 +23,7 @@ fully deterministic: identical inputs and config give bit-identical iterates.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +41,8 @@ __all__ = [
     "certify_against_reference",
 ]
 
+BACKTRACK_FACTOR = 0.5  # solve_fista's step shrink per failed majorization
+DOMINATION_MARGIN = 1e-6  # objective slack of every domination check
 
 # Residual balancing of the splitting step (Boyd et al., Distributed
 # Optimization and Statistical Learning via ADMM, 2011, sec. 3.4.1): the step
@@ -58,9 +63,6 @@ class SolverDiverged(RuntimeError):
 class SolverConfig:
     max_iters: int = 50_000
     rel_tol: float = 1e-7
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    objective_reference_margin: float = 1e-6
 
     def __post_init__(self):
         # a float such as 1e3 would pass the bound and then fail inside range()
@@ -70,12 +72,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
-        if not (self.initial_step > 0):
-            raise ValueError("initial_step must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.objective_reference_margin < 0:
-            raise ValueError("objective_reference_margin must be >= 0")
 
 
 @dataclass
@@ -84,6 +80,8 @@ class CompositeProblem:
 
     smooth_eval(x) returns (f(x), grad f(x)); prox(v, t) is the proximal map
     of t*g; reg_value(x) evaluates g alone.  shape is the iterate shape.
+    lipschitz bounds the Lipschitz constant of grad f; 1/lipschitz is both
+    solvers' first step.
     """
 
     smooth_eval: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -91,6 +89,7 @@ class CompositeProblem:
     reg_value: Callable[[np.ndarray], float]
     shape: tuple
     constraint: Optional[MaxNormBall] = None
+    lipschitz: float = 1.0
 
 
 @dataclass
@@ -105,7 +104,6 @@ class SolveResult:
     stop_reason: str
     step: float  # the step in force at the end
     reference_dominated: Optional[bool] = None
-    history: list = field(default_factory=list, repr=False)
 
 
 def composite_objective(problem: CompositeProblem, x) -> float:
@@ -120,11 +118,16 @@ def _fixed_point_residual(problem, x, grad, step):
     return float(np.linalg.norm((x - v).ravel()) / max(1.0, np.linalg.norm(x.ravel())))
 
 
+def _max_step(problem) -> float:
+    # 1/lipschitz; a zero lipschitz (f constant) allows any step
+    return 1.0 / max(problem.lipschitz, 1e-30)
+
+
 def _stop_reason(converged: bool) -> str:
     return "tolerance" if converged else "cap"
 
 
-def _backtracked_prox_step(problem, config, y, fy, gy, step):
+def _backtracked_prox_step(problem, y, fy, gy, step):
     """Shrink the step until the quadratic majorization at y holds."""
     while True:
         candidate = problem.prox(y - step * gy, step)
@@ -133,7 +136,7 @@ def _backtracked_prox_step(problem, config, y, fy, gy, step):
         f_cand, g_cand = problem.smooth_eval(candidate)
         if f_cand <= quad + 1e-12 * (1.0 + abs(quad)):
             return candidate, f_cand, g_cand, step
-        step *= config.backtrack_factor
+        step *= BACKTRACK_FACTOR
         if step < 1e-18:
             raise SolverDiverged("backtracking step underflow")
 
@@ -141,42 +144,41 @@ def _backtracked_prox_step(problem, config, y, fy, gy, step):
 def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
     """Accelerated proximal gradient with backtracking and monotone restarts.
 
-    The recorded objective history is non-increasing up to roundoff: whenever
-    the accelerated step would increase the objective, momentum is reset and a
-    backtracked proximal gradient step from the current iterate (a guaranteed
-    descent) is taken instead.
+    Starts at step 1/lipschitz and halves it while the quadratic
+    majorization fails.  The objective is non-increasing over the iterations
+    up to roundoff: whenever the accelerated step would increase it, momentum
+    is reset and a backtracked proximal gradient step from the current
+    iterate (a guaranteed descent) is taken instead.
     """
     x = np.array(start, dtype=float, copy=True)
     if x.shape != tuple(problem.shape):
         raise ValueError(f"start has shape {x.shape}, expected {tuple(problem.shape)}")
-    step = config.initial_step
+    step = _max_step(problem)
     fx, gx = problem.smooth_eval(x)
     obj_x = fx + problem.reg_value(x)
     if not np.isfinite(obj_x):
         raise SolverDiverged(f"objective non-finite at start: {obj_x}")
-    history = [obj_x]
 
     residual = _fixed_point_residual(problem, x, gx, step)
     if residual <= config.rel_tol:
-        return SolveResult(x, obj_x, 0, residual, True, "start", step, history=history)
+        return SolveResult(x, obj_x, 0, residual, True, "start", step)
 
     y, fy, gy = x, fx, gx
     t_mom = 1.0
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        cand, f_c, g_c, step = _backtracked_prox_step(problem, config, y, fy, gy, step)
+        cand, f_c, g_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
         obj_c = f_c + problem.reg_value(cand)
         if obj_c > obj_x:
             y, fy, gy = x, fx, gx
             t_mom = 1.0
-            cand, f_c, g_c, step = _backtracked_prox_step(problem, config, y, fy, gy, step)
+            cand, f_c, g_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
             obj_c = f_c + problem.reg_value(cand)
         if not np.isfinite(obj_c):
             raise SolverDiverged(f"objective non-finite at iteration {iterations}")
 
         x_prev = x
         x, fx, gx, obj_x = cand, f_c, g_c, obj_c
-        history.append(obj_x)
 
         residual = _fixed_point_residual(problem, x, gx, step)
         if residual <= config.rel_tol:
@@ -188,26 +190,23 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         fy, gy = problem.smooth_eval(y)
 
     converged = residual <= config.rel_tol
-    return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged), step,
-                       history=history)
+    return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged), step)
 
 
 def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
     """Three-operator splitting for box-constrained regularized problems.
 
     Iterates x_b = project(z), x_a = prox(2 x_b - z - step*grad f(x_b)), and
-    z += x_a - x_b (Davis & Yin, arXiv:1504.01032).  config.initial_step is
-    the first and the largest step; it must not exceed the reciprocal smooth
-    Lipschitz constant.  After each iteration the step is balanced: halved
+    z += x_a - x_b (Davis & Yin, arXiv:1504.01032).  The first and largest
+    step is 1/lipschitz.  After each iteration the step is balanced: halved
     while the primal residual ||x_a - x_b|| exceeds BALANCE_RATIO times the
-    dual residual ||x_b - x_b_prev|| / step, doubled (up to initial_step) in
+    dual residual ||x_b - x_b_prev|| / step, doubled (up to 1/lipschitz) in
     the opposite case, at most MAX_STEP_CHANGES times.  A change rescales z
     about x_b, which keeps x_b and the box multiplier (z - x_b)/step.
 
     Stops when ||x_a - x_b|| / (step * max(1, ||x_b||)) <= rel_tol.  Returns
-    the best feasible iterate seen (by composite objective), so the recorded
-    objective history is non-increasing and the returned point satisfies the
-    box exactly.
+    the last box projection x_b, which the splitting converges in and which
+    satisfies the box exactly, with its composite objective.
     """
     if problem.constraint is None:
         raise ValueError("solve_split requires a box constraint")
@@ -215,17 +214,14 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     z = np.array(start, dtype=float, copy=True)
     if z.shape != tuple(problem.shape):
         raise ValueError(f"start has shape {z.shape}, expected {tuple(problem.shape)}")
-    step = config.initial_step
+    max_step = _max_step(problem)
+    step = max_step
     step_changes = 0
-    eval_every = 5  # objective bookkeeping cadence; prox/projection run every iteration
 
     x_b = project_maxnorm(z, ball)
     f_b, g_b = problem.smooth_eval(x_b)
-    obj_best = f_b + problem.reg_value(x_b)
-    if not np.isfinite(obj_best):
+    if not np.isfinite(f_b + problem.reg_value(x_b)):
         raise SolverDiverged("objective non-finite at start")
-    x_best = x_b.copy()
-    history = [obj_best]
     residual = np.inf
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
@@ -239,12 +235,6 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         f_b, g_b = problem.smooth_eval(x_b)
         if not np.isfinite(f_b):
             raise SolverDiverged(f"smooth value non-finite at iteration {iterations}")
-        if iterations % eval_every == 0 or residual <= config.rel_tol:
-            obj_b = f_b + problem.reg_value(x_b)
-            if obj_b < obj_best:
-                obj_best = obj_b
-                x_best = x_b.copy()
-            history.append(obj_best)
         if residual <= config.rel_tol:
             break
         if step_changes < MAX_STEP_CHANGES:
@@ -252,7 +242,7 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
             if primal > BALANCE_RATIO * dual:
                 new_step = step / STEP_FACTOR
             elif dual > BALANCE_RATIO * primal:
-                new_step = min(step * STEP_FACTOR, config.initial_step)
+                new_step = min(step * STEP_FACTOR, max_step)
             if new_step != step:
                 # z <- x_b + (new_step/step) (z - x_b), in place
                 z -= x_b
@@ -261,31 +251,21 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
                 step = new_step
                 step_changes += 1
 
-    # final bookkeeping in case the loop ended off-cadence
-    obj_b = f_b + problem.reg_value(x_b)
-    if obj_b < obj_best:
-        obj_best = obj_b
-        x_best = x_b.copy()
-        history.append(obj_best)
     converged = residual <= config.rel_tol
-    return SolveResult(x_best, obj_best, iterations, residual, converged, _stop_reason(converged),
-                       step, history=history)
+    return SolveResult(x_b, f_b + problem.reg_value(x_b), iterations, residual, converged,
+                       _stop_reason(converged), step)
 
 
-def certify_against_reference(
-    problem: CompositeProblem, candidate, reference, margin: float = 1e-6
-) -> bool:
-    """True when objective(candidate) <= objective(reference) + margin.
+def certify_against_reference(problem: CompositeProblem, candidate, reference) -> bool:
+    """True when objective(candidate) <= objective(reference) + DOMINATION_MARGIN.
 
     Both points must satisfy the problem's box constraint when present.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     if problem.constraint is not None:
         for name, point in (("candidate", candidate), ("reference", reference)):
             if not problem.constraint.contains(point):
                 raise ValueError(f"{name} violates the box constraint")
     return bool(
         composite_objective(problem, candidate)
-        <= composite_objective(problem, reference) + margin
+        <= composite_objective(problem, reference) + DOMINATION_MARGIN
     )

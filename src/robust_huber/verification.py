@@ -34,7 +34,7 @@ from .estimators import (
 )
 from .huber import HuberParams, huber_loss, huber_loss_grad
 from .prox import dual_norm_linf, dual_norm_spectral, nuclear_norm
-from .solver import certify_against_reference
+from .solver import DOMINATION_MARGIN, certify_against_reference
 
 __all__ = [
     "SparseCone",
@@ -63,7 +63,6 @@ TRIALS_RSC = 300
 TRIALS_RE = 300
 RADIUS_ROUNDS = 20
 RADIUS_RTOL = 0.15  # kappa's radius and R agree within this: the radius is consistent
-MARGIN = 1e-6  # objective slack of the domination checks
 
 
 class RscSamplingError(RuntimeError):
@@ -526,8 +525,8 @@ class CertificateParams:
     alpha is the inlier rate of the noise law; the restricted-convexity flag
     compares the measured kappa against 0.01*alpha*n (regression) or
     0.01*alpha (matrix problem).  seed keys every Monte-Carlo check.  Sample
-    counts and tolerances are the module constants TRIALS_*, RADIUS_* and
-    MARGIN.
+    counts and tolerances are the module constants TRIALS_* and RADIUS_*, and
+    the domination checks' slack is solver.DOMINATION_MARGIN.
     """
 
     alpha: float
@@ -803,6 +802,6 @@ def assemble_certificate(
         error_lt_radius=bool(err < R),
         gamma_est=gamma_est,
         radius_est=4.0 * gamma_est * s / kappa if kappa > 0 else np.inf,
-        dominated_est=certify_against_reference(composite, estimate, truth, MARGIN),
-        dominated_meas=bool(objective_meas(point) <= objective_meas(truth) + MARGIN),
+        dominated_est=certify_against_reference(composite, estimate, truth),
+        dominated_meas=bool(objective_meas(point) <= objective_meas(truth) + DOMINATION_MARGIN),
     )

@@ -221,7 +221,7 @@ def _lipschitz_designs():
 def test_regression_lipschitz_matches_spectral_norm(name):
     X = _lipschitz_designs()[name]
     rp = RegressionProblem(X=X, y=np.zeros(X.shape[0]))
-    lipschitz = build_regression_composite(rp, EstimatorConstants())[1]["lipschitz"]
+    lipschitz = build_regression_composite(rp, EstimatorConstants())[0].lipschitz
     reference = np.linalg.norm(X, 2) ** 2
     assert abs(lipschitz - reference) <= 1e-12 * reference
 
@@ -229,7 +229,7 @@ def test_regression_lipschitz_matches_spectral_norm(name):
 def test_regression_lipschitz_of_zero_design():
     for shape in [(20, 4), (4, 20)]:
         rp = RegressionProblem(X=np.zeros(shape), y=np.zeros(shape[0]))
-        lipschitz = build_regression_composite(rp, EstimatorConstants())[1]["lipschitz"]
+        lipschitz = build_regression_composite(rp, EstimatorConstants())[0].lipschitz
         assert lipschitz == 0.0
 
 

@@ -830,6 +830,9 @@ def test_cli_verify_without_alpha(tmp_path):
     [
         ("typo", TINY_REGRESSION_INI + "max_iter = 100\n", "max_iter"),
         ("dead_delta", TINY_REGRESSION_INI + "delta = 0.05\n", "delta"),
+        ("dead_initial_step", TINY_REGRESSION_INI + "initial_step = 0.5\n", "initial_step"),
+        ("dead_backtrack_factor", TINY_REGRESSION_INI + "backtrack_factor = 0.5\n",
+         "backtrack_factor"),
         ("completion_without_r", TINY_COMPLETION_INI.replace("r = 1\n", ""), "['r']"),
         (
             "bogus_family",

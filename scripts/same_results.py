@@ -1,4 +1,4 @@
-"""Check that two git revisions write byte-identical CSVs for every config.
+"""Check that two git revisions write byte-identical results for every config.
 
     python3 scripts/same_results.py --base REV --head REV [--workdir DIR]
 
@@ -6,11 +6,13 @@ Run from the repository root.  Each revision is exported with ``git archive``
 (``bench_pairs.export``).  In one subprocess per revision, with
 ``OPENBLAS_NUM_THREADS=1``, every config under that revision's ``configs/``
 runs serially, trimmed to its first grid point and one trial at seed 7, and
-writes its CSV.  The script then lists each config as
+writes its CSV; a ``meta_certificate`` config also writes the certificate
+report of that first instance (``<config>.report``, what ``robust-huber
+verify`` prints).  The script then lists each CSV and report as
 ``identical``, ``differs``, or missing on one side (a config that failed to
 run, or exists in one revision only), and exits 0 only if all are identical.
-Under each config that differs it prints the first differing CSV line of
-each side, which names the grid point and trial that moved.
+Under each file that differs it prints the first differing line of each
+side, which names the grid point and trial, or the report field, that moved.
 
 A result-neutral change (a refactor, a speedup that must not move any
 iterate) should leave every line ``identical``.  The trimmed runs reach every
@@ -31,12 +33,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export  # noqa: E402
 
 SEED = 7
+OUTPUTS = ("*.csv", "*.report")  # the files compared between the revisions
 
 # runs in the exported checkout: python -c RUNNER OUT_DIR SEED
 RUNNER = """
 import dataclasses, sys, traceback
 from pathlib import Path
-from robust_huber.experiments import ExperimentSpec, emit_csv, grid_points, run_experiment
+from robust_huber.datagen import trial_seed
+from robust_huber.experiments import (
+    ExperimentSpec, emit_csv, grid_points, run_certificate, run_experiment,
+)
 
 out, seed = Path(sys.argv[1]), int(sys.argv[2])
 for path in sorted(Path("configs").glob("*.ini")):
@@ -47,6 +53,10 @@ for path in sorted(Path("configs").glob("*.ini")):
             spec, grid={k: [v] for k, v in first.items()}, trials_per_point=1
         )
         emit_csv(run_experiment(spec), out / (path.stem + ".csv"))
+        if spec.scenario == "meta_certificate":
+            p = {**spec.params, **first}
+            cert = run_certificate(spec, p, trial_seed(spec.seed, 0, 0))[3]
+            (out / (path.stem + ".report")).write_text(cert.to_report())
     except Exception:
         print(f"{path.name} failed:", file=sys.stderr)
         traceback.print_exc()
@@ -54,17 +64,19 @@ for path in sorted(Path("configs").glob("*.ini")):
 
 
 def run_configs(checkout: Path, out: Path, seed: int) -> None:
-    """Write one trimmed CSV per config of `checkout` into `out`, which must
-    not exist yet: a CSV left from an earlier run could pass for this one's."""
+    """Write one trimmed CSV per config of `checkout`, and a report per
+    meta_certificate config, into `out`, which must not exist yet: a file
+    left from an earlier run could pass for this one's."""
     out.mkdir(parents=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
     subprocess.run([sys.executable, "-c", RUNNER, str(out), str(seed)],
                    cwd=checkout, env=env, check=True)
 
 
-def compare_csvs(base: Path, head: Path) -> dict[str, str]:
-    """Per CSV name in either directory: identical, differs, or missing on a side."""
-    names = sorted({p.name for p in base.glob("*.csv")} | {p.name for p in head.glob("*.csv")})
+def compare_outputs(base: Path, head: Path) -> dict[str, str]:
+    """Per CSV or report name in either directory: identical, differs, or
+    missing on a side."""
+    names = sorted({p.name for d in (base, head) for pattern in OUTPUTS for p in d.glob(pattern)})
     status = {}
     for name in names:
         a, b = base / name, head / name
@@ -92,7 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="revision compared against")
     parser.add_argument("--head", required=True, help="revision under test")
     parser.add_argument("--workdir", type=Path, default=None,
-                        help="a new directory where the revisions and their CSVs go, "
+                        help="a new directory where the revisions and their outputs go, "
                              "and stay (default: a temporary directory)")
     args = parser.parse_args(argv)
 
@@ -103,9 +115,9 @@ def main(argv=None) -> int:
             checkout = work / side
             sha = export(getattr(args, side), checkout)
             print(f"{side}: {sha}", file=sys.stderr)
-            outs[side] = work / f"{side}_csv"
+            outs[side] = work / f"{side}_out"
             run_configs(checkout, outs[side], SEED)
-        status = compare_csvs(outs["base"], outs["head"])
+        status = compare_outputs(outs["base"], outs["head"])
         moved = {name: first_difference(outs["base"] / name, outs["head"] / name)
                  for name, state in status.items() if state == "differs"}
     for name, state in status.items():
@@ -115,7 +127,7 @@ def main(argv=None) -> int:
             print(f"  line {number} base: {a!r}")
             print(f"  line {number} head: {b!r}")
     same = sum(1 for state in status.values() if state == "identical")
-    print(f"{same}/{len(status)} configs byte-identical")
+    print(f"{same}/{len(status)} files byte-identical")
     return 0 if status and same == len(status) else 1
 
 

@@ -26,6 +26,8 @@ __all__ = [
     "gen_deterministic_outlier_noise",
     "gen_flat_lowrank",
     "gen_lb_noise",
+    "lb_alpha_of_xi",
+    "lb_xi_of_alpha",
     "gen_matrix_completion_scenario",
     "make_regression_instance",
     "make_gaussian_design_instance",
@@ -66,15 +68,15 @@ class NoiseSpec:
     """Entrywise noise law.
 
     alpha is the inlier probability: P(|entry| <= zeta) >= alpha for every
-    family.  outlier_scale only matters for symmetric_mixture; xi only for
-    lb_geometric_even.
+    family.  outlier_scale only matters for symmetric_mixture.  The
+    lb_geometric_even law's shape xi follows from alpha and the instance's
+    (n, r) (lb_xi_of_alpha), so make_pca_instance derives it.
     """
 
     family: str
     alpha: float
     zeta: float = 1.0
     outlier_scale: float = 100.0
-    xi: Optional[float] = None
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
@@ -223,6 +225,21 @@ def lb_noise_params(n: int, r: int, xi: float) -> tuple[float, float]:
     return float(a), float(q)
 
 
+def lb_alpha_of_xi(n: int, r: int, xi: float) -> float:
+    """Inlier rate a = xi*sqrt(r) / (2*sqrt(n) - xi*sqrt(r))."""
+    a, _ = lb_noise_params(n, r, xi)
+    return a
+
+
+def lb_xi_of_alpha(n: int, r: int, alpha: float) -> float:
+    """Inverse map; every alpha in (0, 1) is realizable."""
+    if not (0 < alpha < 1):
+        raise ValueError("alpha must lie in (0, 1) to be realizable by some xi")
+    xi = 2.0 * alpha * np.sqrt(n) / ((1.0 + alpha) * np.sqrt(r))
+    lb_noise_params(n, r, xi)
+    return float(xi)
+
+
 def gen_lb_noise(n: int, r: int, xi: float, seed: int) -> np.ndarray:
     """n x n noise with the even-geometric law; P[N=0] = a = the inlier rate."""
     a, q = lb_noise_params(n, r, xi)
@@ -309,9 +326,7 @@ def make_pca_instance(
         raise ValueError("l_scale must lie in (0, 1]")
     L = gen_flat_lowrank(n, r, l_scale * rho_over_n, seed)
     if noise.family == "lb_geometric_even":
-        if noise.xi is None:
-            raise ValueError("lb_geometric_even needs xi")
-        N = gen_lb_noise(n, r, noise.xi, seed)
+        N = gen_lb_noise(n, r, lb_xi_of_alpha(n, r, noise.alpha), seed)
     else:
         N = gen_oblivious_noise_vector(n * n, noise, seed).reshape(n, n)
     return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=noise.zeta, L_star=L, r=r)

@@ -9,15 +9,14 @@ one algorithm, not all of them.  The impossibility statement itself lives at
 xi <= 1/2; larger xi values are still a valid noise law (up to
 xi*sqrt(r) = sqrt(n)) and are what the recovery side of the phase diagram uses.
 
-The sweep over alpha runs through the experiment runner as the
-`lowerbound_phase` scenario, whose trials call `phase_trial`.
+The maps between a and xi live in datagen, beside the noise law, and are
+re-exported here.  The sweep over alpha runs through the experiment runner as
+the `lowerbound_phase` scenario, whose trials call `phase_trial`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .datagen import NoiseSpec, lb_noise_params, make_pca_instance
+from .datagen import NoiseSpec, lb_alpha_of_xi, lb_xi_of_alpha, make_pca_instance
 from .estimators import EstimatorConstants, PcaProblem, estimate_pca, frobenius_error
 from .solver import SolverConfig
 
@@ -32,26 +31,9 @@ PHASE_ZETA = 1.0  # the construction normalizes 0 <= zeta <= rho/n = 1
 PHASE_RHO_OVER_N = 1.0
 
 
-def lb_alpha_of_xi(n: int, r: int, xi: float) -> float:
-    """Inlier rate a = xi*sqrt(r) / (2*sqrt(n) - xi*sqrt(r))."""
-    a, _ = lb_noise_params(n, r, xi)
-    return a
-
-
-def lb_xi_of_alpha(n: int, r: int, alpha: float) -> float:
-    """Inverse map; every alpha in (0, 1) is realizable."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1) to be realizable by some xi")
-    xi = 2.0 * alpha * np.sqrt(n) / ((1.0 + alpha) * np.sqrt(r))
-    lb_noise_params(n, r, xi)
-    return float(xi)
-
-
 def phase_instance(n: int, r: int, alpha: float, instance_seed: int) -> PcaProblem:
     """One draw of the generative model at inlier rate alpha."""
-    noise = NoiseSpec(
-        family="lb_geometric_even", alpha=alpha, zeta=PHASE_ZETA, xi=lb_xi_of_alpha(n, r, alpha)
-    )
+    noise = NoiseSpec(family="lb_geometric_even", alpha=alpha, zeta=PHASE_ZETA)
     return make_pca_instance(n, r, noise, PHASE_RHO_OVER_N, instance_seed, l_scale=1.0)
 
 

@@ -4,7 +4,7 @@ Two routines share the SolveResult contract:
 
 * solve_fista: accelerated proximal gradient with backtracking line search and
   restart on objective increase. For unconstrained problems (sparse
-  regression).
+  regression); it rejects a box.
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
@@ -70,6 +70,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if isinstance(self.rel_tol, bool) or not isinstance(self.rel_tol, numbers.Real):
+            raise ValueError(f"rel_tol must be a real number, got {self.rel_tol!r}")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
 
@@ -113,8 +115,6 @@ def composite_objective(problem: CompositeProblem, x) -> float:
 
 def _fixed_point_residual(problem, x, grad, step):
     v = problem.prox(x - step * grad, step)
-    if problem.constraint is not None:
-        v = project_maxnorm(v, problem.constraint)
     return float(np.linalg.norm((x - v).ravel()) / max(1.0, np.linalg.norm(x.ravel())))
 
 
@@ -148,8 +148,11 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     majorization fails.  The objective is non-increasing over the iterations
     up to roundoff: whenever the accelerated step would increase it, momentum
     is reset and a backtracked proximal gradient step from the current
-    iterate (a guaranteed descent) is taken instead.
+    iterate (a guaranteed descent) is taken instead.  Its steps never
+    project, so a boxed problem raises ValueError: solve_split takes those.
     """
+    if problem.constraint is not None:
+        raise ValueError("solve_fista takes no box constraint; use solve_split")
     x = np.array(start, dtype=float, copy=True)
     if x.shape != tuple(problem.shape):
         raise ValueError(f"start has shape {x.shape}, expected {tuple(problem.shape)}")

@@ -19,7 +19,7 @@ earlier draw (prefix stability).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -63,6 +63,7 @@ TRIALS_RSC = 300
 TRIALS_RE = 300
 RADIUS_ROUNDS = 20
 RADIUS_RTOL = 0.15  # kappa's radius and R agree within this: the radius is consistent
+RSC_ATTEMPTS_PER_SAMPLE = 50  # estimate_rsc draws at most this many cone samples per trial
 
 
 class RscSamplingError(RuntimeError):
@@ -122,23 +123,18 @@ class SparseCone:
 
 @dataclass
 class LowRankCone:
-    """Expansion cone of the nuclear norm around row/column spans."""
+    """Expansion cone of the nuclear norm around row/column spans (from_truth)."""
 
     col_basis: np.ndarray  # n x r, orthonormal columns
     row_basis: np.ndarray  # n x r, orthonormal columns
+    col_perp: np.ndarray = field(repr=False)  # n x (n - r), completes col_basis
+    row_perp: np.ndarray = field(repr=False)  # n x (n - r), completes row_basis
     expansion: float = 4.0
-    col_perp: np.ndarray = field(default=None, repr=False)
-    row_perp: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        U, V = self.col_basis, self.row_basis
-        for name, B in (("col_basis", U), ("row_basis", V)):
+        for name, B in (("col_basis", self.col_basis), ("row_basis", self.row_basis)):
             if not np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-8):
                 raise ValueError(f"{name} must have orthonormal columns")
-        if self.col_perp is None:
-            self.col_perp = _orthogonal_complement(U)
-        if self.row_perp is None:
-            self.row_perp = _orthogonal_complement(V)
 
     @classmethod
     def from_truth(cls, L_star, r: Optional[int] = None, expansion: float = 4.0):
@@ -153,9 +149,9 @@ class LowRankCone:
         return cls(
             col_basis=U[:, :rank].copy(),
             row_basis=Vt[:rank].T.copy(),
-            expansion=expansion,
             col_perp=U[:, rank:].copy(),
             row_perp=Vt[rank:].T.copy(),
+            expansion=expansion,
         )
 
     @property
@@ -238,45 +234,24 @@ def _nuclear_sampler(left, right):
     return sample
 
 
-def _orthogonal_complement(B) -> np.ndarray:
-    n, r = B.shape
-    if r >= n:
-        return np.zeros((n, 0))
-    # complete B to an orthonormal basis via SVD of the projector complement
-    proj = np.eye(n) - B @ B.T
-    U, _, _ = np.linalg.svd(proj)
-    return U[:, : n - r]
-
-
 # ---------------------------------------------------------------------------
 # condition measurements
 
 
-def _elements_from(basis, rng):
-    if callable(basis):
-        return basis(rng)
-    basis = list(basis)
-    coeffs = rng.standard_normal(len(basis))
-    out = np.zeros_like(np.asarray(basis[0], dtype=float))
-    for c, b in zip(coeffs, basis):
-        out = out + c * np.asarray(b, dtype=float)
-    return out
-
-
 def check_decomposability(
-    reg_norm: Callable, omega_basis, omega_bar_perp_basis, trials: int, seed: int,
-    rtol: float = 1e-9,
+    reg_norm: Callable, sample_model: Callable, sample_perp: Callable, trials: int, seed: int
 ) -> bool:
-    """Additivity ||u + v|| = ||u|| + ||v|| for u from the model space and v
-    from the complement space, on random elements of each."""
+    """Additivity ||u + v|| = ||u|| + ||v|| for u = sample_model(rng) from the
+    model space and v = sample_perp(rng) from the complement space, on random
+    elements of each (a cone's subspace_samplers give both)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for i in range(trials):
         rng = stream_rng(seed, _T_DECOMP, i)
-        u = _elements_from(omega_basis, rng)
-        v = _elements_from(omega_bar_perp_basis, rng)
+        u = sample_model(rng)
+        v = sample_perp(rng)
         nu, nv = reg_norm(u), reg_norm(v)
-        if abs(reg_norm(u + v) - nu - nv) > rtol * (nu + nv) + 1e-12:
+        if abs(reg_norm(u + v) - nu - nv) > 1e-9 * (nu + nv) + 1e-12:
             return False
     return True
 
@@ -330,7 +305,6 @@ def estimate_rsc(
     trials: int,
     seed: int,
     h: Optional[float] = None,
-    max_attempt_factor: int = 50,
 ) -> float:
     """Lower-curvature ratio on the cone sphere of the given radius.
 
@@ -342,7 +316,8 @@ def estimate_rsc(
     This is a one-sided (upper) estimate of the restricted strong convexity
     constant at that radius.  A sampled direction with E(u) = 0 raises
     RscSamplingError.  For the matrix problem, samples leaving the box are
-    rejected; RscSamplingError is raised when too few are feasible.
+    rejected; RscSamplingError is raised when fewer than trials are feasible
+    among RSC_ATTEMPTS_PER_SAMPLE * trials draws.
     """
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
@@ -356,7 +331,7 @@ def estimate_rsc(
     worst = np.inf
     found = 0
     i = 0
-    while found < trials and i < max_attempt_factor * trials:
+    while found < trials and i < RSC_ATTEMPTS_PER_SAMPLE * trials:
         rng = stream_rng(seed, _T_RSC, i)
         i += 1
         # v = image of u, scaled to E(u) = radius; the loss sees truth + u as resid - v
@@ -571,33 +546,14 @@ class MetaCertificate:
         return all(self.conditions[name] for name in CONDITION_NAMES)
 
     def to_report(self) -> str:
-        lines = []
-        for name in CONDITION_NAMES:
-            lines.append(f"condition_{name} = {int(self.conditions[name])}")
-        scalars = {
-            "gamma_measured": self.gamma_measured,
-            "s": self.s,
-            "kappa": self.kappa,
-            "R": self.R,
-            "kappa_radius": self.kappa_radius,
-            "contraction_measured": self.contraction_measured,
-            "error_value": self.error_value,
-            "gamma_est": self.gamma_est,
-            "radius_est": self.radius_est,
-        }
-        if self.lambda_hat is not None:
-            scalars["lambda_hat"] = self.lambda_hat
-        for key in sorted(scalars):
-            lines.append(f"{key} = {scalars[key]:.17g}")
-        for key, val in (
-            ("radius_formula_ok", self.radius_formula_ok),
-            ("rsc_vacuous", self.rsc_vacuous),
-            ("cone_membership_ok", self.cone_membership_ok),
-            ("error_lt_radius", self.error_lt_radius),
-            ("dominated_est", self.dominated_est),
-            ("dominated_meas", self.dominated_meas),
-        ):
-            lines.append(f"{key} = {int(val)}")
+        """One `name = value` line per field: the condition_* lines, then every
+        measured value that is not None sorted by name, then every flag (a
+        bool field) in declaration order."""
+        lines = [f"condition_{name} = {int(self.conditions[name])}" for name in CONDITION_NAMES]
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "conditions"}
+        measured = {k: v for k, v in values.items() if v is not None and not isinstance(v, bool)}
+        lines += [f"{key} = {measured[key]:.17g}" for key in sorted(measured)]
+        lines += [f"{key} = {int(v)}" for key, v in values.items() if isinstance(v, bool)]
         return "\n".join(lines) + "\n"
 
 
@@ -797,7 +753,7 @@ def assemble_certificate(
         rsc_vacuous=rsc_vacuous,
         lambda_hat=geo.lambda_hat,
         contraction_measured=contraction_measured,
-        cone_membership_ok=cone.member(delta_hat, rtol=1e-6),
+        cone_membership_ok=bool(cone.member(delta_hat, rtol=1e-6)),
         error_value=err,
         error_lt_radius=bool(err < R),
         gamma_est=gamma_est,

@@ -21,7 +21,7 @@ from robust_huber import (
     stream_rng,
     trial_seed,
 )
-from robust_huber.datagen import _NOISE
+from robust_huber.datagen import _NOISE, lb_xi_of_alpha
 
 
 def symmetry_gap(x):
@@ -143,7 +143,7 @@ def test_gaussian_family_is_bitwise_the_norm_ppf_draw(alpha, zeta):
 
 
 def test_vector_generator_rejects_matrix_family():
-    spec = NoiseSpec(family="lb_geometric_even", alpha=0.5, xi=0.3)
+    spec = NoiseSpec(family="lb_geometric_even", alpha=0.5)
     with pytest.raises(ValueError):
         gen_oblivious_noise_vector(10, spec, 111)
 
@@ -233,6 +233,13 @@ def test_lb_noise_support_and_zero_mass():
     assert abs(count0 - n * n * a) <= 3 * sd
 
 
+@pytest.mark.parametrize("n, r, alpha, seed", [(20, 1, 0.25, 5), (40, 2, 0.6, 9)])
+def test_pca_instance_lb_noise_derives_xi_from_alpha(n, r, alpha, seed):
+    problem = make_pca_instance(n, r, NoiseSpec("lb_geometric_even", alpha), 1.0, seed)
+    N = gen_lb_noise(n, r, lb_xi_of_alpha(n, r, alpha), seed)
+    assert (problem.Y - problem.L_star).tobytes() == N.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # composite scenarios
 
@@ -289,7 +296,7 @@ def test_pca_instance_box_placement():
     assert prob.rho_over_n == 1.0
     with pytest.raises(ValueError):
         make_pca_instance(16, 2, noise, 1.0, 127, l_scale=1.5)
-    lb = NoiseSpec(family="lb_geometric_even", alpha=0.5)
+    lb = NoiseSpec(family="lb_geometric_even", alpha=1.0)  # no xi gives inlier rate 1
     with pytest.raises(ValueError):
         make_pca_instance(16, 1, lb, 1.0, 127)
 

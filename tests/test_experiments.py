@@ -829,6 +829,8 @@ def test_cli_verify_without_alpha(tmp_path):
     "name, ini, message",
     [
         ("typo", TINY_REGRESSION_INI + "max_iter = 100\n", "max_iter"),
+        ("bad_rel_tol", TINY_REGRESSION_INI.replace("rel_tol = 1e-5", "rel_tol = abc"),
+         "rel_tol"),
         ("dead_delta", TINY_REGRESSION_INI + "delta = 0.05\n", "delta"),
         ("dead_initial_step", TINY_REGRESSION_INI + "initial_step = 0.5\n", "initial_step"),
         ("dead_backtrack_factor", TINY_REGRESSION_INI + "backtrack_factor = 0.5\n",

@@ -1,8 +1,12 @@
-"""The two-revision result check's CSV comparison and its report of the
-first differing line (no configs are run)."""
+"""The two-revision result check: its comparison of CSVs and certificate
+reports, its report of the first differing line, and the config runner's
+certificate report."""
 
 import importlib.util
+import shutil
 from pathlib import Path
+
+from robust_huber.cli import main
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_results.py"
 spec = importlib.util.spec_from_file_location("same_results", SCRIPT)
@@ -20,6 +24,8 @@ def test_compare_csvs_by_bytes_and_by_presence(tmp_path):
         "newline.csv": ("x\n1\n", "x\n1\r\n"),  # equal as text lines, not as bytes
         "old.csv": ("x\n", None),
         "new.csv": (None, "x\n"),
+        "cert.report": ("kappa = 1\n", "kappa = 1.0000000000000002\n"),
+        "same.report": ("s = 4\n", "s = 4\n"),
     }
     for name, (a, b) in files.items():
         if a is not None:
@@ -27,12 +33,14 @@ def test_compare_csvs_by_bytes_and_by_presence(tmp_path):
         if b is not None:
             (head / name).write_bytes(b.encode())
     (base / "notes.txt").write_text("not a CSV")
-    assert same_results.compare_csvs(base, head) == {
+    assert same_results.compare_outputs(base, head) == {
+        "cert.report": "differs",
         "digit.csv": "differs",
         "new.csv": "missing in base",
         "newline.csv": "differs",
         "old.csv": "missing in head",
         "same.csv": "identical",
+        "same.report": "identical",
     }
 
 
@@ -75,5 +83,30 @@ def test_main_prints_first_differing_line(tmp_path, monkeypatch, capsys):
         "  line 3 base: '50,1,0.2\\n'",
         "  line 3 head: '50,1,0.3\\n'",
         "same.csv: identical",
-        "1/2 configs byte-identical",
+        "1/2 files byte-identical",
     ]
+
+
+META_INI = (
+    "[meta_certificate]\n"
+    "instance_grid = 0 1\nfamily = regression\nn = 200\nd = 8\nk = 2\nalpha = 0.9\n"
+    "magnitude = 3.0\ntrials_per_point = 1\nseed = 3\ngamma_scale = 5.0\n"
+    "max_iters = 5000\nrel_tol = 1e-7\n"
+)
+
+
+def test_runner_writes_the_verify_report_of_meta_certificate_configs(tmp_path, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "configs").mkdir(parents=True)
+    (checkout / "configs" / "meta.ini").write_text(META_INI)
+    shutil.copy(SCRIPT.parent.parent / "configs" / "demo_matrix_completion.ini",
+                checkout / "configs")
+    (checkout / "src").symlink_to(SCRIPT.parent.parent / "src")
+    out = tmp_path / "out"
+    same_results.run_configs(checkout, out, same_results.SEED)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "demo_matrix_completion.csv", "meta.csv", "meta.report",
+    ]
+    config = str(checkout / "configs" / "meta.ini")
+    main(["verify", "--config", config, "--seed", str(same_results.SEED)])
+    assert (out / "meta.report").read_text() == capsys.readouterr().out

@@ -248,6 +248,12 @@ def test_split_requires_box():
         solve_split(problem, SolverConfig(), np.zeros(2))
 
 
+def test_fista_rejects_box():
+    problem = pca_composite(np.eye(2), 1.0, 0.3, 1.0)
+    with pytest.raises(ValueError):
+        solve_fista(problem, SolverConfig(), np.zeros((2, 2)))
+
+
 def test_split_deterministic():
     rng = np.random.default_rng(39)
     Y = rng.standard_normal((4, 4))
@@ -424,3 +430,7 @@ def test_solver_config_validation():
         SolverConfig(max_iters=1e3)
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(rel_tol="abc")
+    with pytest.raises(ValueError):
+        SolverConfig(rel_tol=True)

@@ -92,9 +92,9 @@ def test_lowrank_cone_samples_are_members():
 
 def test_lowrank_cone_requires_orthonormal_basis():
     bad = np.ones((4, 2))
-    good = np.eye(4)[:, :2]
+    good, good_perp = np.eye(4)[:, :2], np.eye(4)[:, 2:]
     with pytest.raises(ValueError):
-        LowRankCone(col_basis=bad, row_basis=good)
+        LowRankCone(col_basis=bad, row_basis=good, col_perp=good_perp, row_perp=good_perp)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -133,11 +133,17 @@ def nuclear(M):
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
 
 
+def span_sampler(basis):
+    """Random elements of the span of the given vectors."""
+    basis = np.asarray(basis, dtype=float)
+    return lambda rng: rng.standard_normal(len(basis)) @ basis
+
+
 def test_l1_decomposable_on_disjoint_supports():
     d = 6
     eye = np.eye(d)
-    model = [eye[0], eye[1]]
-    perp = [eye[2], eye[3], eye[4], eye[5]]
+    model = span_sampler([eye[0], eye[1]])
+    perp = span_sampler([eye[2], eye[3], eye[4], eye[5]])
     assert check_decomposability(l1_norm, model, perp, trials=100, seed=0)
 
 
@@ -159,8 +165,8 @@ def test_l1_decomposability_accepts_samplers():
 
 def test_l1_not_decomposable_on_overlapping_supports():
     eye = np.eye(4)
-    model = [eye[0], eye[1]]
-    overlap = [eye[1], eye[2]]  # shares coordinate 1 with the model space
+    model = span_sampler([eye[0], eye[1]])
+    overlap = span_sampler([eye[1], eye[2]])  # shares coordinate 1 with the model space
     assert not check_decomposability(l1_norm, model, overlap, trials=50, seed=0)
 
 
@@ -193,7 +199,8 @@ def test_nuclear_not_decomposable_on_shared_column_space():
 
 def test_decomposability_validation():
     with pytest.raises(ValueError):
-        check_decomposability(l1_norm, [np.ones(2)], [np.ones(2)], trials=0, seed=0)
+        check_decomposability(l1_norm, span_sampler([np.ones(2)]), span_sampler([np.ones(2)]),
+                              trials=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -617,3 +624,29 @@ def test_certificate_report_format():
     for key in ("gamma_measured", "kappa", "R", "error_value", "lambda_hat"):
         assert any(ln.startswith(f"{key} = ") for ln in lines)
     assert all(" = " in ln for ln in lines)
+
+
+def test_certificate_report_key_order():
+    # conditions, then the measured values sorted by name (lambda_hat only for
+    # regression), then the flags in a fixed order
+    conditions = [f"condition_{name}" for name in CONDITION_NAMES]
+    flags = ["radius_formula_ok", "rsc_vacuous", "cone_membership_ok", "error_lt_radius",
+             "dominated_est", "dominated_meas"]
+    reg = noiseless_regression(300, 6, 2, seed=35)
+    noise = NoiseSpec("symmetric_mixture", alpha=0.9)
+    pca = make_pca_instance(20, 1, noise, 1.0, seed=1, l_scale=0.5)
+    cases = [
+        (reg, reg.beta_star, EstimatorConstants(gamma_scale=5.0), [
+            "R", "contraction_measured", "error_value", "gamma_est", "gamma_measured",
+            "kappa", "kappa_radius", "lambda_hat", "radius_est", "s",
+        ]),
+        (pca, pca.L_star, EstimatorConstants(gamma_scale=2.0), [
+            "R", "contraction_measured", "error_value", "gamma_est", "gamma_measured",
+            "kappa", "kappa_radius", "radius_est", "s",
+        ]),
+    ]
+    for prob, truth, constants, measured in cases:
+        cert = assemble_certificate(prob, truth, constants, CertificateParams(alpha=0.9, seed=4))
+        pairs = [ln.split(" = ") for ln in cert.to_report().splitlines()]
+        assert [key for key, _ in pairs] == conditions + measured + flags
+        assert {value for key, value in pairs if key in conditions + flags} <= {"0", "1"}

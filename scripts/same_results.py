@@ -12,7 +12,9 @@ verify`` prints).  The script then lists each CSV and report as
 ``identical``, ``differs``, or missing on one side (a config that failed to
 run, or exists in one revision only), and exits 0 only if all are identical.
 Under each file that differs it prints the first differing line of each
-side, which names the grid point and trial, or the report field, that moved.
+side, which names the grid point and trial, or the report field, that moved,
+and the largest relative difference |head - base| / |base| of each numeric
+column (each numeric field of a report), which shows how far results moved.
 
 A result-neutral change (a refactor, a speedup that must not move any
 iterate) should leave every line ``identical``.  The trimmed runs reach every
@@ -22,7 +24,9 @@ scenario's code path in seconds; they do not replace the full sweeps.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +103,43 @@ def first_difference(base: Path, head: Path) -> tuple[int, str, str]:
     raise ValueError(f"{base.name} is the same on both sides")
 
 
+def numeric_columns(path: Path) -> dict[str, list[float]]:
+    """The numeric columns of a CSV by header name, or the numeric
+    `name = value` fields of a report as one-value columns.  A column with a
+    cell that is not a number (a flag, a name, an empty error) is left out."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        cells = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    else:
+        cells = {name: [value] for name, _, value in
+                 (line.partition(" = ") for line in path.read_text().splitlines())}
+    columns = {}
+    for name, column in cells.items():
+        try:
+            columns[name] = [float(cell) for cell in column]
+        except ValueError:
+            pass
+    return columns
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b) or a == 0:
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def largest_relative_differences(base: Path, head: Path) -> dict[str, float]:
+    """Per numeric column that both files have with as many values: the
+    largest |head - base| / |base| over its rows, 0 where the values are
+    equal, inf where base is 0 or only one side is NaN."""
+    a, b = numeric_columns(base), numeric_columns(head)
+    return {name: max(map(_relative, a[name], b[name]), default=0.0)
+            for name in a if name in b and len(a[name]) == len(b[name])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision compared against")
@@ -118,14 +159,18 @@ def main(argv=None) -> int:
             outs[side] = work / f"{side}_out"
             run_configs(checkout, outs[side], SEED)
         status = compare_outputs(outs["base"], outs["head"])
-        moved = {name: first_difference(outs["base"] / name, outs["head"] / name)
+        moved = {name: (first_difference(outs["base"] / name, outs["head"] / name),
+                        largest_relative_differences(outs["base"] / name, outs["head"] / name))
                  for name, state in status.items() if state == "differs"}
     for name, state in status.items():
         print(f"{name}: {state}")
         if name in moved:
-            number, a, b = moved[name]
+            (number, a, b), largest = moved[name]
             print(f"  line {number} base: {a!r}")
             print(f"  line {number} head: {b!r}")
+            if largest:
+                print("  largest relative difference: "
+                      + ", ".join(f"{column} {value:.3g}" for column, value in largest.items()))
     same = sum(1 for state in status.values() if state == "identical")
     print(f"{same}/{len(status)} files byte-identical")
     return 0 if status and same == len(status) else 1

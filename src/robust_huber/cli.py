@@ -74,6 +74,7 @@ def cmd_solve(args) -> int:
     print(f"iterations = {result.iterations}")
     print(f"converged = {int(result.converged)}")
     print(f"stop_reason = {result.stop_reason}")
+    print(f"rejected = {result.rejected}")
     for name, value in metrics.items():
         print(f"{name} = {value:.17g}")
     print(f"dominated = {int(bool(result.reference_dominated))}")

@@ -247,8 +247,9 @@ def estimate_pca(
 
     Starts from the box projection of Y.  The splitting step starts at, and
     never exceeds, 1/lipschitz = 1 (the Huber loss of Y - L has a 1-Lipschitz
-    gradient); solve_split adapts it by residual balancing, stops on a
-    residual normalised by the step and returns its last feasible iterate.
+    gradient); solve_split adapts it by residual balancing, accelerates the
+    splitting with a safeguarded Anderson step, stops on a residual
+    normalised by the step and returns its last feasible iterate.
     """
     composite, _ = build_pca_composite(problem, constants)
     start = project_maxnorm(problem.Y, composite.constraint)

@@ -4,7 +4,8 @@ CSV/report emission.
 Every scenario is one row of SCENARIOS: its instance builder, its per-trial
 metrics, its pass/fail checks, its plot axes and the parameter keys it reads.
 A spec is checked against its row when it is made, so a config with an
-unknown or a missing key fails at load, before any trial runs.
+unknown or a missing key, or a value of the wrong type, fails at load,
+before any trial runs.
 
 A run is a pure function of (config bytes, seed): every trial derives its
 instance seed from (seed, grid point index, trial index), workers share
@@ -18,6 +19,7 @@ from __future__ import annotations
 import configparser
 import csv
 import itertools
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -86,8 +88,9 @@ _ROW_ERRORS = (ValueError, *NUMERIC_ERRORS)
 class ExperimentSpec:
     """One scenario with its grid, fixed parameters, and solver knobs.
 
-    Made only with the parameter keys its SCENARIOS row reads
-    (Scenario.check_keys); anything else raises ValueError here.
+    Made only with the parameter keys its SCENARIOS row reads, each of the
+    type PARAM_TYPES gives (Scenario.check_keys); anything else raises
+    ValueError here.
     """
 
     scenario: str
@@ -272,6 +275,17 @@ _REGRESSION = Family(
     _build_regression, frozenset({"n", "d", "k", "alpha"}), _NOISE_KEYS | {"magnitude"}
 )
 _PCA = Family(_build_pca, frozenset({"n", "r", "alpha"}), _NOISE_KEYS | {"rho_over_n", "l_scale"})
+# The type of every scenario parameter, checked when a spec is made: a value
+# of the wrong type (n = sixty) is a config error, not a failure of each trial.
+PARAM_TYPES = {
+    **dict.fromkeys(("n", "d", "k", "r", "instance"), numbers.Integral),
+    **dict.fromkeys(
+        ("alpha", "zeta", "outlier_scale", "magnitude", "rho_over_n", "l_scale", "epsilon"),
+        numbers.Real,
+    ),
+    **dict.fromkeys(("noise_family", "family"), str),
+}
+_TYPE_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a name"}
 # meta_certificate solves whichever of these its `family` parameter names
 FAMILIES = {"regression": _REGRESSION, "pca": _PCA}
 DEFAULT_FAMILY = "regression"
@@ -770,7 +784,8 @@ class Scenario:
 
     def check_keys(self, scenario: str, grid: dict, params: dict) -> None:
         """Raise ValueError unless grid and params hold exactly the keys this
-        scenario reads: every required one, and nothing it would ignore."""
+        scenario reads, every required one and nothing it would ignore, each
+        with values of its PARAM_TYPES type."""
         both = sorted(set(grid) & set(params))
         if both:
             raise ValueError(f"[{scenario}] {both} given both fixed and swept")
@@ -789,6 +804,13 @@ class Scenario:
         missing = sorted(required - keys)
         if missing:
             raise ValueError(f"[{scenario}] missing required parameter(s) {missing}")
+        for key in sorted(keys):
+            kind = PARAM_TYPES[key]
+            for value in grid[key] if key in grid else [params[key]]:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(
+                        f"[{scenario}] {key} must be {_TYPE_NAMES[kind]}, got {value!r}"
+                    )
 
 
 SCENARIOS: dict[str, Scenario] = {

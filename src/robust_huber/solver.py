@@ -8,7 +8,8 @@ Two routines share the SolveResult contract:
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
-  solve by residual balancing, and it returns its last feasible iterate.
+  solve by residual balancing, a safeguarded Anderson step accelerates its
+  fixed-point map, and it returns its last feasible iterate.
 
 Both take their first step, and solve_split its largest, as 1/lipschitz from
 the CompositeProblem: the step belongs to the problem, not to the config.
@@ -54,6 +55,12 @@ BALANCE_RATIO = 3.0
 STEP_FACTOR = 2.0
 MAX_STEP_CHANGES = 20
 
+# The Anderson step of the splitting (type II, memory 1; Fu, Zhang & Boyd,
+# arXiv:1908.11482) is kept only while the primal residual at the point it
+# proposes is at most SAFEGUARD_FACTOR times the residual of the point it
+# was extrapolated from (after Zhang, O'Donoghue & Boyd, arXiv:1808.03971).
+SAFEGUARD_FACTOR = 2.0
+
 
 class SolverDiverged(RuntimeError):
     """Raised when an iterate or objective becomes non-finite."""
@@ -82,6 +89,8 @@ class CompositeProblem:
 
     smooth_eval(x) returns (f(x), grad f(x)); prox(v, t) is the proximal map
     of t*g; reg_value(x) evaluates g alone.  shape is the iterate shape.
+    solve_split writes into the arrays that smooth_eval and prox return, so
+    neither may return an array that is kept for another use.
     lipschitz bounds the Lipschitz constant of grad f; 1/lipschitz is both
     solvers' first step.
     """
@@ -105,6 +114,7 @@ class SolveResult:
     # "start" (solve_fista's start already met rel_tol; no iteration ran)
     stop_reason: str
     step: float  # the step in force at the end
+    rejected: int  # Anderson points the safeguard refused (always 0 for solve_fista)
     reference_dominated: Optional[bool] = None
 
 
@@ -164,7 +174,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
 
     residual = _fixed_point_residual(problem, x, gx, step)
     if residual <= config.rel_tol:
-        return SolveResult(x, obj_x, 0, residual, True, "start", step)
+        return SolveResult(x, obj_x, 0, residual, True, "start", step, 0)
 
     y, fy, gy = x, fx, gx
     t_mom = 1.0
@@ -193,23 +203,33 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         fy, gy = problem.smooth_eval(y)
 
     converged = residual <= config.rel_tol
-    return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged), step)
+    return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged),
+                       step, 0)
 
 
 def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
     """Three-operator splitting for box-constrained regularized problems.
 
     Iterates x_b = project(z), x_a = prox(2 x_b - z - step*grad f(x_b)), and
-    z += x_a - x_b (Davis & Yin, arXiv:1504.01032).  The first and largest
-    step is 1/lipschitz.  After each iteration the step is balanced: halved
-    while the primal residual ||x_a - x_b|| exceeds BALANCE_RATIO times the
-    dual residual ||x_b - x_b_prev|| / step, doubled (up to 1/lipschitz) in
-    the opposite case, at most MAX_STEP_CHANGES times.  A change rescales z
-    about x_b, which keeps x_b and the box multiplier (z - x_b)/step.
+    the fixed-point map T z = z + (x_a - x_b) (Davis & Yin, arXiv:1504.01032).
+    The first and largest step is 1/lipschitz.  After each iteration the step
+    is balanced: halved while the primal residual ||x_a - x_b|| exceeds
+    BALANCE_RATIO times the dual residual ||x_b - x_b_prev|| / step, doubled
+    (up to 1/lipschitz) in the opposite case, at most MAX_STEP_CHANGES times.
+    A change rescales z about x_b, which keeps x_b and the box multiplier
+    (z - x_b)/step.
+
+    The next z is the Anderson point T z - gamma (T z - T z_prev), where f =
+    x_a - x_b and gamma = <df, f>/<df, df> with df = f - f_prev.  An Anderson
+    point whose primal residual exceeds SAFEGUARD_FACTOR times that of the
+    point it came from is rejected: the solve goes back to the plain image T z
+    of that point.  A rejection and a step change (which changes the map)
+    clear the memory, and the step after a clear is the plain one.  Every
+    evaluation, rejected or not, is one iteration and one prox call.
 
     Stops when ||x_a - x_b|| / (step * max(1, ||x_b||)) <= rel_tol.  Returns
-    the last box projection x_b, which the splitting converges in and which
-    satisfies the box exactly, with its composite objective.
+    the last box projection x_b = project(T z), which the splitting converges
+    in and which satisfies the box exactly, with its composite objective.
     """
     if problem.constraint is None:
         raise ValueError("solve_split requires a box constraint")
@@ -220,6 +240,11 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     max_step = _max_step(problem)
     step = max_step
     step_changes = 0
+    # the Anderson memory: the last residual f and plain image T z, None while
+    # clear; and the primal residual of the point that z was extrapolated
+    # from, None while z is a plain image
+    f_prev = tz_prev = primal_from = None
+    rejected = 0
 
     x_b = project_maxnorm(z, ball)
     f_b, g_b = problem.smooth_eval(x_b)
@@ -228,16 +253,38 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     residual = np.inf
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        x_a = problem.prox(2.0 * x_b - z - step * g_b, step)
-        z += x_a - x_b
-        primal = float(np.linalg.norm((x_a - x_b).ravel()))
-        residual = primal / (step * max(1.0, float(np.linalg.norm(x_b.ravel()))))
+        # the prox argument 2 x_b - z - step*g_b, built in the gradient's buffer
+        g_b *= -step
+        g_b += x_b
+        g_b += x_b
+        g_b -= z
+        f = problem.prox(g_b, step)
+        f -= x_b  # x_a - x_b
+        primal = float(np.linalg.norm(f.ravel()))
+        accepted = primal_from is None or primal <= SAFEGUARD_FACTOR * primal_from
+        primal_from = None
+        if accepted:
+            residual = primal / (step * max(1.0, float(np.linalg.norm(x_b.ravel()))))
+            z += f  # T z
+            if f_prev is None:
+                tz_prev = z.copy()
+            elif residual > config.rel_tol:
+                z, tz_prev, extrapolated = _anderson_step(z, f, f_prev, tz_prev)
+                if extrapolated:
+                    primal_from = primal
+            f_prev = f
+        else:
+            # back to the plain image of the point the refused one came from
+            rejected += 1
+            z, f_prev, tz_prev = tz_prev, None, None
         x_next = project_maxnorm(z, ball)
         dual = float(np.linalg.norm((x_next - x_b).ravel())) / step
         x_b = x_next
         f_b, g_b = problem.smooth_eval(x_b)
         if not np.isfinite(f_b):
             raise SolverDiverged(f"smooth value non-finite at iteration {iterations}")
+        if not accepted:  # a refused point neither stops the solve nor balances the step
+            continue
         if residual <= config.rel_tol:
             break
         if step_changes < MAX_STEP_CHANGES:
@@ -247,16 +294,37 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
             elif dual > BALANCE_RATIO * primal:
                 new_step = min(step * STEP_FACTOR, max_step)
             if new_step != step:
-                # z <- x_b + (new_step/step) (z - x_b), in place
+                # z <- x_b + (new_step/step) (z - x_b), in place; the map changed
                 z -= x_b
                 z *= new_step / step
                 z += x_b
                 step = new_step
                 step_changes += 1
+                f_prev = tz_prev = primal_from = None
 
     converged = residual <= config.rel_tol
     return SolveResult(x_b, f_b + problem.reg_value(x_b), iterations, residual, converged,
-                       _stop_reason(converged), step)
+                       _stop_reason(converged), step, rejected)
+
+
+def _anderson_step(tz, f, f_prev, tz_prev):
+    """Type-II Anderson step of memory 1 from the plain image tz = T z with
+    residual f, given the previous pair (f_prev, tz_prev).
+
+    Returns (next z, the plain image T z, whether the next z is extrapolated):
+    tz - gamma (tz - tz_prev) with gamma = <df, f>/<df, df>, df = f - f_prev,
+    or tz itself when df = 0.  Writes into the buffers of f_prev and tz_prev,
+    so the step costs no array beyond the two it keeps.
+    """
+    df = np.subtract(f, f_prev, out=f_prev)
+    dg = np.subtract(tz, tz_prev, out=tz_prev)
+    df_df = float(np.vdot(df, df))
+    if not df_df > 0:
+        np.copyto(dg, tz)
+        return tz, dg, False
+    dg *= -float(np.vdot(df, f)) / df_df
+    dg += tz
+    return dg, tz, True
 
 
 def certify_against_reference(problem: CompositeProblem, candidate, reference) -> bool:

@@ -252,6 +252,26 @@ def test_spec_rejects_unknown_and_missing_keys():
         )
 
 
+def test_spec_rejects_parameters_of_the_wrong_type():
+    with pytest.raises(ValueError, match="n must be an integer, got 'sixty'"):
+        tiny_regression_spec(grid={"n": [30, "sixty"]})
+    with pytest.raises(ValueError, match="d must be an integer, got 8.5"):
+        tiny_regression_spec(params={"d": 8.5, "k": 2, "alpha": 0.8})
+    with pytest.raises(ValueError, match="alpha must be a real number, got 'high'"):
+        tiny_regression_spec(params={"d": 8, "k": 2, "alpha": "high"})
+    with pytest.raises(ValueError, match="noise_family must be a name, got 3"):
+        tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 0.8, "noise_family": 3})
+    tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 1})  # an integer is a real number
+
+
+def test_every_parameter_a_scenario_reads_has_a_type():
+    for row in experiments.SCENARIOS.values():
+        families = experiments.FAMILIES.values() if row.family is None else [row.family]
+        for family in families:
+            keys = row.required | row.optional | family.required | family.optional
+            assert keys <= set(experiments.PARAM_TYPES)
+
+
 def test_spec_rejects_keys_swept_where_they_must_be_fixed():
     with pytest.raises(ValueError, match="both fixed and swept"):
         tiny_regression_spec(grid={"n": [40]}, params={"n": 30, "d": 8, "k": 2, "alpha": 0.8})
@@ -728,6 +748,7 @@ def test_cli_solve(tmp_path, capsys):
     assert "prediction_error_sq = " in printed
     assert "\nconverged = 1\n" in printed
     assert "\nstop_reason = tolerance\n" in printed
+    assert "\nrejected = 0\n" in printed  # FISTA takes no Anderson step
     assert est.exists()
 
 
@@ -836,6 +857,7 @@ def test_cli_verify_without_alpha(tmp_path):
         ("dead_backtrack_factor", TINY_REGRESSION_INI + "backtrack_factor = 0.5\n",
          "backtrack_factor"),
         ("completion_without_r", TINY_COMPLETION_INI.replace("r = 1\n", ""), "['r']"),
+        ("word_for_n", TINY_COMPLETION_INI.replace("n = 24", "n = sixty"), "'sixty'"),
         (
             "bogus_family",
             "[meta_certificate]\ninstance_grid = 0\nfamily = bogus\n"

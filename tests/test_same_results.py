@@ -1,8 +1,9 @@
 """The two-revision result check: its comparison of CSVs and certificate
-reports, its report of the first differing line, and the config runner's
-certificate report."""
+reports, its report of the first differing line and of the largest relative
+difference per numeric column, and the config runner's certificate report."""
 
 import importlib.util
+import math
 import shutil
 from pathlib import Path
 
@@ -61,6 +62,32 @@ def test_first_difference_names_the_moved_row(tmp_path):
         assert got == expected, name
 
 
+def test_largest_relative_difference_of_each_numeric_column(tmp_path):
+    files = {
+        "rows.csv": ("scenario,n,err,iterations,ok,error\n"
+                     "s,50,2.0,10,True,\ns,100,0.0,20,False,\ns,200,nan,30,True,\n",
+                     "scenario,n,err,iterations,ok,error\n"
+                     "s,50,2.5,10,True,\ns,100,0.0,15,False,\ns,200,nan,31,False,\n"),
+        "zero.csv": ("x,y\n0,nan\n", "x,y\n1e-9,3\n"),
+        "longer.csv": ("x,y\n1,2\n", "x,y\n1,2\n1,4\n"),
+        "cert.report": ("kappa = 2\ncondition_rsc = 1\nnote = none\n",
+                        "kappa = 1.5\ncondition_rsc = 1\nnote = some\n"),
+    }
+    for name, (a, b) in files.items():
+        (tmp_path / f"base_{name}").write_text(a)
+        (tmp_path / f"head_{name}").write_text(b)
+
+    def largest(name):
+        return same_results.largest_relative_differences(tmp_path / f"base_{name}",
+                                                         tmp_path / f"head_{name}")
+
+    # names, flags and empty error cells are not numeric columns
+    assert largest("rows.csv") == {"n": 0.0, "err": 0.25, "iterations": 0.25}
+    assert largest("zero.csv") == {"x": math.inf, "y": math.inf}
+    assert largest("longer.csv") == {}  # rows added or lost: no pairing
+    assert largest("cert.report") == {"kappa": 0.25, "condition_rsc": 0.0}
+
+
 def test_main_prints_first_differing_line(tmp_path, monkeypatch, capsys):
     # stand-ins for the export and the config runs: base and head write one
     # CSV each, equal but for the second trial's error
@@ -82,6 +109,7 @@ def test_main_prints_first_differing_line(tmp_path, monkeypatch, capsys):
         "cfg.csv: differs",
         "  line 3 base: '50,1,0.2\\n'",
         "  line 3 head: '50,1,0.3\\n'",
+        "  largest relative difference: n 0, trial 0, error 0.5",
         "same.csv: identical",
         "1/2 files byte-identical",
     ]

@@ -13,9 +13,17 @@ each workload runs all its pairs before the next starts.
 
 The output file holds every run's result line (the last line ``run.py``
 prints), and, per workload and end-to-end metric of BENCHMARK.json, each
-side's median and quartiles and the number of pairs the head won (ties count
-for neither side).  It is rewritten after each run, so an interrupted session
-keeps the runs it finished.
+side's median and quartiles, the number of pairs the head won (ties count
+for neither side), and two verdicts:
+
+- ``claim_rule_met``: the head won at least 9 of every 10 pairs, and its
+  median beats the base's median, in the metric's ``better`` direction, by
+  more than the base's interquartile range q3 - q1;
+- ``within_bound``: the head's median is worse than the base's by at most the
+  metric's ``bound`` (a fraction of the base's median).
+
+It is rewritten after each run, so an interrupted session keeps the runs it
+finished.  BENCHMARK.json is only read.
 """
 
 from __future__ import annotations
@@ -71,9 +79,12 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: both sides' quartiles and the head's wins
-    over the pairs that have both sides."""
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per workload and metric: both sides' quartiles, the head's wins over
+    the pairs that have both sides, and the verdicts (within_bound only for a
+    metric with a bound)."""
+    bounds = bounds or {}
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict = {}
@@ -88,12 +99,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             base = [p["base"][metric]["value"] for p in full]
             head = [p["head"][metric]["value"] for p in full]
             sign = 1.0 if direction == "lower" else -1.0
+            wins = sum(1 for b, h in zip(base, head) if sign * (b - h) > 0)
+            base_q, head_q = quartiles(base), quartiles(head)
+            gain = sign * (base_q["median"] - head_q["median"])  # > 0: the head is better
             summary[metric] = {
-                "base": quartiles(base),
-                "head": quartiles(head),
-                "head_wins": sum(1 for b, h in zip(base, head) if sign * (b - h) > 0),
+                "base": base_q,
+                "head": head_q,
+                "head_wins": wins,
                 "pairs": len(full),
+                "claim_rule_met": 10 * wins >= 9 * len(full)
+                and gain > base_q["q3"] - base_q["q1"],
             }
+            if metric in bounds:
+                summary[metric]["within_bound"] = (
+                    -gain <= bounds[metric] * abs(base_q["median"]))
         out[workload] = summary
     return out
 
@@ -111,8 +130,9 @@ def main(argv=None) -> int:
                         help="where the revisions are exported (default: a temporary directory)")
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkouts = {side: Path(tmp) / side for side in ("base", "head")}
         shas = {side: export(getattr(args, side), path) for side, path in checkouts.items()}
@@ -124,7 +144,7 @@ def main(argv=None) -> int:
                     result = run_bench(checkouts[side], workload, seed, args.seconds)
                     record["runs"].append({"workload": workload, "seed": seed, "pair": k,
                                            "side": side, "result": result})
-                    record["summary"] = summarize(record["runs"], better)
+                    record["summary"] = summarize(record["runs"], better, bounds)
                     args.out.write_text(json.dumps(record, indent=1) + "\n")
                     print(f"{workload} seed {seed} {side}: correct={result['correct']} "
                           f"wall_s={result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)

@@ -7,8 +7,8 @@ Run from the repository root.  Each revision is exported with ``git archive``
 ``OPENBLAS_NUM_THREADS=1``, every config under that revision's ``configs/``
 runs serially, trimmed to its first grid point and one trial at seed 7, and
 writes its CSV; a ``meta_certificate`` config also writes the certificate
-report of that first instance (``<config>.report``, what ``robust-huber
-verify`` prints).  The script then lists each CSV and report as
+report of that first instance (``<config>.report``, the report ``robust-huber
+verify`` prints, without the note it adds on a vacuous radius).  The script then lists each CSV and report as
 ``identical``, ``differs``, or missing on one side (a config that failed to
 run, or exists in one revision only), and exits 0 only if all are identical.
 Under each file that differs it prints the first differing line of each

@@ -11,6 +11,7 @@ from .huber import (
     HuberParams,
     curvature_lower_bound_holds,
     huber_loss,
+    huber_loss_and_grad,
     huber_loss_grad,
     huber_penalty,
     huber_penalty_deriv,

@@ -94,6 +94,10 @@ def cmd_verify(args) -> int:
         print(f"wrote certificate to {args.out}")
     else:
         sys.stdout.write(report)
+    if cert.rsc_vacuous:
+        # the exit code and the report stay as they are; this line only says so
+        print(f"note: R = {cert.R:.6g} exceeds the box's feasible diameter, so the "
+              "radius bound holds for any point in the box (rsc_vacuous = 1)")
     ok = cert.all_conditions() and cert.cone_membership_ok and cert.error_lt_radius
     return EXIT_OK if ok else EXIT_ASSERT
 

@@ -14,6 +14,13 @@ and the matrix problem solves
 gamma_scale defaults to 100; experiment configs record the value they use.
 The regression step is 1/L with L = sigma_1(X)^2, taken as the largest
 eigenvalue of the smaller Gram matrix (X^T X, or X X^T for a wide design).
+
+Both composites have the form f(x) = loss(A x) of solver.CompositeProblem.
+The regression image is beta -> X beta and its adjoint D -> D X, so that a
+FISTA iteration reads X twice: once for the candidate's image and once for
+the two-row adjoint product.  The matrix problem's maps are the identity.
+Each smooth evaluation takes the Huber value and gradient from one clip
+(huber.huber_loss_and_grad).
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .huber import HuberParams, huber_loss, huber_loss_grad
+# huber_loss and huber_loss_grad are unused here but stay bound: the per-layer
+# tracer in perfbench/layers.py wraps estimators.huber_loss and .huber_loss_grad
+from .huber import HuberParams, huber_loss, huber_loss_and_grad, huber_loss_grad  # noqa: F401
 from .prox import MaxNormBall, nuclear_norm, prox_l1, prox_nuclear, project_maxnorm
 from .solver import (
     CompositeProblem,
@@ -166,6 +175,12 @@ class EstimatorConstants:
             raise ValueError("huber_h_override must be positive when set")
 
 
+def _huber_value_and_neg_clip(resid, params):
+    """The Huber loss of the residual obs - a and its gradient in a, -clip(resid)."""
+    value, clip = huber_loss_and_grad(resid, params)
+    return value, np.negative(clip, out=clip)
+
+
 def build_regression_composite(
     problem: RegressionProblem, constants: EstimatorConstants
 ) -> tuple[CompositeProblem, dict]:
@@ -181,16 +196,14 @@ def build_regression_composite(
     gram = X.T @ X if n >= d else X @ X.T
     lipschitz = float(np.linalg.eigvalsh(gram)[-1])
 
-    def smooth_eval(beta):
-        resid = y - X @ beta
-        return huber_loss(resid, params), -(X.T @ huber_loss_grad(resid, params))
-
     composite = CompositeProblem(
-        smooth_eval=smooth_eval,
+        smooth_eval=lambda a: _huber_value_and_neg_clip(y - a, params),
         prox=lambda v, t: prox_l1(v, t * gamma),
         reg_value=lambda beta: gamma * float(np.sum(np.abs(beta))),
         shape=(d,),
         lipschitz=lipschitz,
+        image=lambda beta: X @ beta,
+        adjoint=lambda D: D @ X,
     )
     info = {"gamma": gamma, "h": h}
     return composite, info
@@ -207,12 +220,8 @@ def build_pca_composite(
     gamma = constants.gamma_scale * np.sqrt(n) * problem.default_huber_h
     ball = MaxNormBall(problem.rho_over_n)
 
-    def smooth_eval(L):
-        resid = Y - L
-        return huber_loss(resid, params), -huber_loss_grad(resid, params)
-
     composite = CompositeProblem(
-        smooth_eval=smooth_eval,
+        smooth_eval=lambda L: _huber_value_and_neg_clip(Y - L, params),
         prox=lambda M, t: prox_nuclear(M, t * gamma),
         reg_value=lambda L: gamma * nuclear_norm(L),
         shape=(n, n),

@@ -716,7 +716,13 @@ def _meta_checks(p, rows):
         and not r.flags.get("error_lt_radius", False)
     ]
     return [
-        ("conditions_all_instances", all_flags, f"{len(rows)} instances"),
+        # a vacuous instance passes radius_bound only because R exceeds the box
+        (
+            "conditions_all_instances",
+            all_flags,
+            f"{len(rows)} instances, "
+            f"{sum(bool(r.flags.get('rsc_vacuous', False)) for r in rows)} vacuous",
+        ),
         ("cone_membership", bool(cone), "estimate error in expansion cone"),
         ("error_lt_radius", bool(err_lt), "E(estimate - truth) < R"),
         (

@@ -18,6 +18,7 @@ __all__ = [
     "huber_penalty_deriv",
     "huber_loss",
     "huber_loss_grad",
+    "huber_loss_and_grad",
     "curvature_lower_bound_holds",
 ]
 
@@ -47,12 +48,14 @@ def huber_penalty(t, params: HuberParams):
     Evaluated as m^2/2 + h*(|t| - m) with m = min(|t|, h), which agrees with
     both branches and never squares a large argument.
     """
-    t = _check_finite(t, "t")
-    h = params.h
+    out = _penalty(_check_finite(t, "t"), params.h)
+    return float(out) if out.ndim == 0 else out
+
+
+def _penalty(t, h):
     a = np.abs(t)
     m = np.minimum(a, h)
-    out = 0.5 * m * m + h * (a - m)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * m * m + h * (a - m)
 
 
 def huber_penalty_deriv(t, params: HuberParams):
@@ -68,13 +71,31 @@ def huber_loss(residuals, params: HuberParams) -> float:
     Empty input sums to zero.
     """
     r = _check_finite(residuals, "residuals")
-    return float(np.sum(huber_penalty(r, params)))
+    return float(np.sum(_penalty(r, params.h)))
 
 
 def huber_loss_grad(residuals, params: HuberParams):
     """Entrywise penalty derivative, same shape as the input."""
     r = _check_finite(residuals, "residuals")
     return np.clip(r, -params.h, params.h)
+
+
+def huber_loss_and_grad(residuals, params: HuberParams):
+    """(huber_loss(r), huber_loss_grad(r)) from one finiteness check and one clip.
+
+    With c = clip(r, -h, h), |c| is huber_penalty's m = min(|r|, h), (0.5 c) c
+    its 0.5 m m, and |r - c| its |r| - m, each bit for bit; so the value and
+    the gradient equal the two separate calls exactly.
+    """
+    r = _check_finite(residuals, "residuals")
+    h = params.h
+    c = np.clip(r, -h, h)
+    excess = np.abs(r - c)
+    excess *= h
+    out = np.multiply(c, 0.5)
+    out *= c
+    out += excess
+    return float(np.sum(out)), c
 
 
 def curvature_lower_bound_holds(eta, delta, tau, params: HuberParams):

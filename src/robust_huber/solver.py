@@ -1,10 +1,14 @@
 """First-order solvers for composite objectives smooth + regularizer (+ box).
 
-Two routines share the SolveResult contract:
+The smooth part is a loss of a linear image, f(x) = loss(A x): a
+CompositeProblem carries A as image and adjoint maps (the identity by
+default) and evaluates the loss at the image.  Two routines share the
+SolveResult contract:
 
 * solve_fista: accelerated proximal gradient with backtracking line search and
   restart on objective increase. For unconstrained problems (sparse
-  regression); it rejects a box.
+  regression); it rejects a box.  It carries A x beside x, so an iteration
+  applies A once per candidate and its adjoint once, to two rows.
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
@@ -83,13 +87,22 @@ class SolverConfig:
             raise ValueError("rel_tol must be positive")
 
 
+def _identity(x):
+    return x
+
+
 @dataclass
 class CompositeProblem:
-    """min_x f(x) + g(x) subject to an optional entrywise box.
+    """min_x f(x) + g(x) subject to an optional entrywise box, where f is a
+    loss of a linear image of x: f(x) = loss(A x).
 
-    smooth_eval(x) returns (f(x), grad f(x)); prox(v, t) is the proximal map
-    of t*g; reg_value(x) evaluates g alone.  shape is the iterate shape.
-    solve_split writes into the arrays that smooth_eval and prox return, so
+    image(x) is A x and adjoint(D) is D A, applied to one row or to a stack of
+    rows (the gradient of loss(A x) is adjoint(grad loss)); both default to
+    the identity.  smooth_eval(a) takes a = image(x) and returns
+    (f(x), d) with grad f(x) = adjoint(d), so with the default maps it is a
+    plain (f(x), grad f(x)).  prox(v, t) is the proximal map of t*g;
+    reg_value(x) evaluates g alone.  shape is the iterate shape.
+    solve_split writes into the arrays that adjoint and prox return, so
     neither may return an array that is kept for another use.
     lipschitz bounds the Lipschitz constant of grad f; 1/lipschitz is both
     solvers' first step.
@@ -101,6 +114,8 @@ class CompositeProblem:
     shape: tuple
     constraint: Optional[MaxNormBall] = None
     lipschitz: float = 1.0
+    image: Callable[[np.ndarray], np.ndarray] = _identity
+    adjoint: Callable[[np.ndarray], np.ndarray] = _identity
 
 
 @dataclass
@@ -119,7 +134,7 @@ class SolveResult:
 
 
 def composite_objective(problem: CompositeProblem, x) -> float:
-    f, _ = problem.smooth_eval(x)
+    f, _ = problem.smooth_eval(problem.image(x))
     return f + problem.reg_value(x)
 
 
@@ -138,14 +153,18 @@ def _stop_reason(converged: bool) -> str:
 
 
 def _backtracked_prox_step(problem, y, fy, gy, step):
-    """Shrink the step until the quadratic majorization at y holds."""
+    """Shrink the step until the quadratic majorization at y holds.
+
+    Returns the candidate, its image, its smooth value and its loss gradient
+    d (not yet mapped by the adjoint), and the step."""
     while True:
         candidate = problem.prox(y - step * gy, step)
         diff = candidate - y
         quad = fy + float(np.vdot(gy, diff)) + float(np.vdot(diff, diff)) / (2 * step)
-        f_cand, g_cand = problem.smooth_eval(candidate)
+        a_cand = problem.image(candidate)
+        f_cand, d_cand = problem.smooth_eval(a_cand)
         if f_cand <= quad + 1e-12 * (1.0 + abs(quad)):
-            return candidate, f_cand, g_cand, step
+            return candidate, a_cand, f_cand, d_cand, step
         step *= BACKTRACK_FACTOR
         if step < 1e-18:
             raise SolverDiverged("backtracking step underflow")
@@ -160,6 +179,13 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     is reset and a backtracked proximal gradient step from the current
     iterate (a guaranteed descent) is taken instead.  Its steps never
     project, so a boxed problem raises ValueError: solve_split takes those.
+
+    The image A x of the iterate is carried beside it: each candidate costs
+    one image call, the extrapolated point's image is the same affine
+    combination of the last two images, and the gradients at the new iterate
+    and at the next extrapolated point come from one adjoint call on the
+    stack of their two loss gradients.  So an iteration without backtracking
+    applies A once and its adjoint once.
     """
     if problem.constraint is not None:
         raise ValueError("solve_fista takes no box constraint; use solve_split")
@@ -167,7 +193,9 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     if x.shape != tuple(problem.shape):
         raise ValueError(f"start has shape {x.shape}, expected {tuple(problem.shape)}")
     step = _max_step(problem)
-    fx, gx = problem.smooth_eval(x)
+    a_x = problem.image(x)
+    fx, d_x = problem.smooth_eval(a_x)
+    gx = problem.adjoint(d_x)
     obj_x = fx + problem.reg_value(x)
     if not np.isfinite(obj_x):
         raise SolverDiverged(f"objective non-finite at start: {obj_x}")
@@ -180,27 +208,29 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     t_mom = 1.0
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        cand, f_c, g_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
+        cand, a_c, f_c, d_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
         obj_c = f_c + problem.reg_value(cand)
         if obj_c > obj_x:
             y, fy, gy = x, fx, gx
             t_mom = 1.0
-            cand, f_c, g_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
+            cand, a_c, f_c, d_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
             obj_c = f_c + problem.reg_value(cand)
         if not np.isfinite(obj_c):
             raise SolverDiverged(f"objective non-finite at iteration {iterations}")
 
-        x_prev = x
-        x, fx, gx, obj_x = cand, f_c, g_c, obj_c
+        x_prev, a_x_prev = x, a_x
+        x, a_x, fx, obj_x = cand, a_c, f_c, obj_c
+
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        coef = (t_mom - 1.0) / t_next
+        y = x + coef * (x - x_prev)
+        fy, d_y = problem.smooth_eval(a_x + coef * (a_x - a_x_prev))
+        gx, gy = problem.adjoint(np.stack([d_c, d_y]))
+        t_mom = t_next
 
         residual = _fixed_point_residual(problem, x, gx, step)
         if residual <= config.rel_tol:
             break
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = x + ((t_mom - 1.0) / t_next) * (x - x_prev)
-        t_mom = t_next
-        fy, gy = problem.smooth_eval(y)
 
     converged = residual <= config.rel_tol
     return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged),
@@ -247,7 +277,7 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     rejected = 0
 
     x_b = project_maxnorm(z, ball)
-    f_b, g_b = problem.smooth_eval(x_b)
+    f_b, g_b = _value_and_grad(problem, x_b)
     if not np.isfinite(f_b + problem.reg_value(x_b)):
         raise SolverDiverged("objective non-finite at start")
     residual = np.inf
@@ -280,7 +310,7 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         x_next = project_maxnorm(z, ball)
         dual = float(np.linalg.norm((x_next - x_b).ravel())) / step
         x_b = x_next
-        f_b, g_b = problem.smooth_eval(x_b)
+        f_b, g_b = _value_and_grad(problem, x_b)
         if not np.isfinite(f_b):
             raise SolverDiverged(f"smooth value non-finite at iteration {iterations}")
         if not accepted:  # a refused point neither stops the solve nor balances the step
@@ -305,6 +335,11 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     converged = residual <= config.rel_tol
     return SolveResult(x_b, f_b + problem.reg_value(x_b), iterations, residual, converged,
                        _stop_reason(converged), step, rejected)
+
+
+def _value_and_grad(problem, x):
+    f, d = problem.smooth_eval(problem.image(x))
+    return f, problem.adjoint(d)
 
 
 def _anderson_step(tz, f, f_prev, tz_prev):

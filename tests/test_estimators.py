@@ -16,6 +16,8 @@ from robust_huber import (
     estimate_pca,
     estimate_sparse_regression,
     frobenius_error,
+    huber_loss,
+    huber_loss_grad,
     huber_penalty,
     make_pca_instance,
     parameter_error,
@@ -136,6 +138,17 @@ def test_pca_scaling_equivariance():
 
 # ---------------------------------------------------------------------------
 # error metrics
+
+
+def test_pca_smooth_eval_returns_the_bits_of_the_separate_huber_calls():
+    problem = make_pca_instance(30, 2, NoiseSpec("symmetric_mixture", 0.3), 2.0 / 30, seed=9)
+    composite, info = build_pca_composite(problem, EstimatorConstants())
+    params = HuberParams(info["h"])
+    L = np.random.default_rng(10).uniform(-1, 1, problem.Y.shape) * problem.rho_over_n
+    value, grad = composite.smooth_eval(composite.image(L))
+    resid = problem.Y - L
+    assert value == huber_loss(resid, params)
+    assert composite.adjoint(grad).tobytes() == (-huber_loss_grad(resid, params)).tobytes()
 
 
 def test_prediction_error_examples():

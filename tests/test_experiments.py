@@ -644,6 +644,15 @@ def test_meta_assertions_condition_failure_is_not_implication_failure():
     assert checks["implication_holds"] is True
 
 
+def test_meta_assertions_count_the_vacuous_instances():
+    rows = [meta_row(0, meta_flags(rsc_vacuous=True)), meta_row(1, meta_flags()),
+            meta_row(2, meta_flags(rsc_vacuous=True))]
+    details = {name: detail for name, _, detail in scenario_assertions(meta_spec(), rows)}
+    assert details["conditions_all_instances"] == "3 instances, 2 vacuous"
+    checks = dict_checks(scenario_assertions(meta_spec(), rows))
+    assert all(checks.values())  # vacuity is reported, not failed
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -792,6 +801,40 @@ def test_cli_verify_success(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "condition_decomposability = 1" in printed
     assert "error_lt_radius = 1" in printed
+
+
+def test_cli_verify_notes_a_vacuous_radius_after_the_unchanged_report(tmp_path, capsys):
+    # a PCA certificate whose R exceeds the box's feasible diameter: the report
+    # and the exit code are those of any passing certificate, and one line
+    # after the report says that the radius bound is vacuous
+    cfg = write_config(
+        tmp_path,
+        "meta_vacuous.ini",
+        "[meta_certificate]\n"
+        "instance_grid = 0\nfamily = pca\nn = 24\nr = 1\nalpha = 0.9\n"
+        "l_scale = 0.5\ntrials_per_point = 1\nseed = 3\ngamma_scale = 2.0\n"
+        "max_iters = 1500\nrel_tol = 1e-5\n",
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    *report, note = capsys.readouterr().out.splitlines()
+    assert "rsc_vacuous = 1" in report
+    assert note.startswith("note: R = ") and "feasible diameter" in note
+    out = tmp_path / "cert.txt"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines() == report  # the note is not part of the report
+    assert capsys.readouterr().out.splitlines()[-1] == note
+
+    regression = write_config(
+        tmp_path,
+        "meta_regression.ini",
+        "[meta_certificate]\n"
+        "instance_grid = 0\nfamily = regression\nn = 200\nd = 8\nk = 2\nalpha = 0.9\n"
+        "magnitude = 3.0\ntrials_per_point = 1\nseed = 3\ngamma_scale = 5.0\n"
+        "max_iters = 5000\nrel_tol = 1e-7\n",
+    )
+    main(["verify", "--config", regression])
+    printed = capsys.readouterr().out
+    assert "rsc_vacuous = 0" in printed and "note:" not in printed
 
 
 def test_cli_verify_numeric_failure(tmp_path):

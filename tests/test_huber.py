@@ -9,6 +9,7 @@ from robust_huber import (
     HuberParams,
     curvature_lower_bound_holds,
     huber_loss,
+    huber_loss_and_grad,
     huber_loss_grad,
     huber_penalty,
     huber_penalty_deriv,
@@ -148,6 +149,50 @@ def test_non_finite_inputs_rejected():
             huber_loss([0.0, bad], H2)
         with pytest.raises(ValueError):
             huber_loss_grad([bad], H2)
+
+
+def _assert_fused_matches_separate_calls(r, params):
+    value, grad = huber_loss_and_grad(r, params)
+    assert value == huber_loss(r, params)
+    expected = huber_loss_grad(r, params)
+    assert grad.shape == expected.shape
+    assert grad.tobytes() == expected.tobytes()  # signed zeros included
+
+
+def test_fused_value_and_gradient_bitwise_equal_separate_calls():
+    h = H2.h
+    rng = np.random.default_rng(5)
+    edge = np.array([h, -h, 0.0, -0.0, np.nextafter(h, 0), np.nextafter(h, 3),
+                     -np.nextafter(h, 3), 1e300, -1e300, 1e-160, -1e-170, 5e-324])
+    cases = [
+        edge,
+        rng.standard_normal(4001) * 3,  # an odd length, past pairwise blocks
+        rng.standard_cauchy(1000),
+        rng.standard_normal((40, 30)) * 3,
+        np.asfortranarray(rng.standard_normal((7, 9)) * 3),
+        np.zeros(0),
+        np.zeros((0, 3)),
+    ]
+    for r in cases:
+        for params in (H2, HuberParams(0.37), HuberParams(1e-3)):
+            _assert_fused_matches_separate_calls(r, params)
+    assert huber_loss_and_grad(np.zeros(0), H2)[0] == 0.0
+
+
+@given(t=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+       h=st.floats(min_value=1e-3, max_value=1e3))
+def test_fused_matches_separate_calls_on_any_finite_vector(t, h):
+    r = np.array(t, dtype=float)
+    with np.errstate(over="ignore"):  # 1e308-sized entries overflow the sum to inf
+        _assert_fused_matches_separate_calls(r, HuberParams(h))
+
+
+def test_fused_kernel_rejects_non_finite_input():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            huber_loss_and_grad([0.0, bad], H2)
+        with pytest.raises(ValueError):
+            huber_loss_and_grad(np.array([[1.0, 2.0], [bad, 0.0]]), H2)
 
 
 @given(t=finite_reals, h=st.floats(min_value=1e-3, max_value=1e3))

@@ -10,7 +10,10 @@ import pytest
 
 from robust_huber import (
     CompositeProblem,
+    EstimatorConstants,
     HuberParams,
+    NoiseSpec,
+    SignalSpec,
     MaxNormBall,
     SolverConfig,
     SolverDiverged,
@@ -18,13 +21,14 @@ from robust_huber import (
     composite_objective,
     huber_loss,
     huber_loss_grad,
+    make_regression_instance,
     project_maxnorm,
     prox_l1,
     prox_nuclear,
 )
 from robust_huber import estimators, solver
 from robust_huber.datagen import trial_seed
-from robust_huber.estimators import estimate_pca
+from robust_huber.estimators import build_regression_composite, estimate_pca
 from robust_huber.experiments import ExperimentSpec, build_instance
 from robust_huber.solver import solve_fista, solve_split
 
@@ -193,6 +197,66 @@ def test_fista_reports_convergence():
     assert done.stop_reason == "tolerance"
     assert done.residual <= SolverConfig().rel_tol
     assert capped.rejected == done.rejected == 0  # no Anderson step in FISTA
+
+
+def _regression_instance(seed=71):
+    problem = make_regression_instance(
+        300, 40, SignalSpec(4, 1.5), NoiseSpec("symmetric_mixture", 0.6), seed=seed
+    )
+    return problem, EstimatorConstants(gamma_scale=0.5)
+
+
+@pytest.mark.parametrize("lipschitz_scale", [1.0, 0.05])  # 0.05: every early step backtracks
+def test_fista_reads_the_design_twice_per_iteration(lipschitz_scale):
+    # one image call per candidate (plus one at the start) and one adjoint
+    # call per iteration (plus one at the start), on a stack of two rows
+    problem, constants = _regression_instance()
+    composite, _ = build_regression_composite(problem, constants)
+    composite.lipschitz *= lipschitz_scale
+    image, adjoint, prox = composite.image, composite.adjoint, composite.prox
+    images, adjoint_rows, prox_calls = [], [], []
+
+    def counting_image(x):
+        images.append(1)
+        return image(x)
+
+    def counting_adjoint(D):
+        adjoint_rows.append(D.shape[:-1])
+        return adjoint(D)
+
+    def counting_prox(v, t):
+        prox_calls.append(t)
+        return prox(v, t)
+
+    composite.image, composite.adjoint, composite.prox = (
+        counting_image, counting_adjoint, counting_prox)
+    result = solve_fista(composite, SolverConfig(rel_tol=1e-9), np.zeros(problem.d))
+    assert result.converged and result.iterations > 20
+    assert len(adjoint_rows) == result.iterations + 1
+    assert adjoint_rows[0] == () and set(adjoint_rows[1:]) == {(2,)}
+    # prox runs once per candidate and once per stopping residual (one per
+    # iteration and one at the start)
+    candidates = len(prox_calls) - (result.iterations + 1)
+    assert len(images) == candidates + 1
+    if lipschitz_scale < 1:
+        assert candidates > result.iterations  # the backtracking was exercised
+
+
+def test_fista_image_formulation_matches_plain_gradient_formulation():
+    # the same regression solved through build_regression_composite (image X b,
+    # adjoint D X) and through a plain smooth_eval(b) with identity maps
+    problem, constants = _regression_instance(seed=72)
+    composite, info = build_regression_composite(problem, constants)
+    plain = regression_composite(problem.X, problem.y, info["h"], info["gamma"],
+                                 composite.lipschitz)
+    config = SolverConfig(rel_tol=1e-9)
+    carried = solve_fista(composite, config, np.zeros(problem.d))
+    direct = solve_fista(plain, config, np.zeros(problem.d))
+    assert carried.converged and direct.converged
+    assert abs(carried.iterations - direct.iterations) <= 1
+    assert carried.objective == pytest.approx(direct.objective, rel=1e-12, abs=0)
+    assert composite_objective(composite, direct.point) == pytest.approx(
+        composite_objective(plain, direct.point), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(report)
     if cert.rsc_vacuous:
-        # the exit code and the report stay as they are; this line only says so
+        # vacuity is reported, not failed: it changes neither the report nor the exit code
         print(f"note: R = {cert.R:.6g} exceeds the box's feasible diameter, so the "
               "radius bound holds for any point in the box (rsc_vacuous = 1)")
     ok = cert.all_conditions() and cert.cone_membership_ok and cert.error_lt_radius

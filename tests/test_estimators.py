@@ -136,10 +136,6 @@ def test_pca_scaling_equivariance():
     assert e2 == pytest.approx(c * e1, rel=1e-3)
 
 
-# ---------------------------------------------------------------------------
-# error metrics
-
-
 def test_pca_smooth_eval_returns_the_bits_of_the_separate_huber_calls():
     problem = make_pca_instance(30, 2, NoiseSpec("symmetric_mixture", 0.3), 2.0 / 30, seed=9)
     composite, info = build_pca_composite(problem, EstimatorConstants())
@@ -149,6 +145,10 @@ def test_pca_smooth_eval_returns_the_bits_of_the_separate_huber_calls():
     resid = problem.Y - L
     assert value == huber_loss(resid, params)
     assert composite.adjoint(grad).tobytes() == (-huber_loss_grad(resid, params)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# error metrics
 
 
 def test_prediction_error_examples():

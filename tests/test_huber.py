@@ -163,7 +163,8 @@ def test_fused_value_and_gradient_bitwise_equal_separate_calls():
     h = H2.h
     rng = np.random.default_rng(5)
     edge = np.array([h, -h, 0.0, -0.0, np.nextafter(h, 0), np.nextafter(h, 3),
-                     -np.nextafter(h, 3), 1e300, -1e300, 1e-160, -1e-170, 5e-324])
+                     -np.nextafter(h, 3), 1e300, -1e300, 1e-160, -1e-170, 5e-324,
+                     3.58e-162, -2.5e-162])  # squares where (0.5 m) m != (m m) 0.5
     cases = [
         edge,
         rng.standard_normal(4001) * 3,  # an odd length, past pairwise blocks
@@ -173,6 +174,7 @@ def test_fused_value_and_gradient_bitwise_equal_separate_calls():
         np.zeros(0),
         np.zeros((0, 3)),
     ]
+    cases += [edge[i:i + 1] for i in range(edge.size)]  # alone, so no sum hides a bit
     for r in cases:
         for params in (H2, HuberParams(0.37), HuberParams(1e-3)):
             _assert_fused_matches_separate_calls(r, params)

@@ -12,9 +12,9 @@ from robust_huber import (
     CompositeProblem,
     EstimatorConstants,
     HuberParams,
+    MaxNormBall,
     NoiseSpec,
     SignalSpec,
-    MaxNormBall,
     SolverConfig,
     SolverDiverged,
     certify_against_reference,

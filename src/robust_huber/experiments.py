@@ -106,8 +106,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not self.grid or any(len(v) == 0 for v in self.grid.values()):
             raise ValueError("grid must be non-empty")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        # checked, not converted: int() would run 1.5 trials as 1 and seed 2.9 as 2
+        for key, low in (("trials_per_point", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value!r}")
         SCENARIOS[self.scenario].check_keys(self.scenario, self.grid, self.params)
 
     @classmethod
@@ -154,8 +159,8 @@ class ExperimentSpec:
             scenario=scenario,
             grid=grid,
             params=params,
-            trials_per_point=int(extras["trials_per_point"]),
-            seed=int(extras["seed"]),
+            trials_per_point=extras["trials_per_point"],
+            seed=extras["seed"],
             constants=EstimatorConstants(**const_kw),
             solver=SolverConfig(**solver_kw),
         )

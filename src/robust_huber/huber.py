@@ -45,17 +45,17 @@ def _check_finite(x, name):
 def huber_penalty(t, params: HuberParams):
     """Penalty value: t^2/2 for |t| <= h, h(|t| - h/2) beyond.
 
-    Evaluated as m^2/2 + h*(|t| - m) with m = min(|t|, h), which agrees with
+    Evaluated as c^2/2 + h*|t - c| with c = clip(t, -h, h), which agrees with
     both branches and never squares a large argument.
     """
     out = _penalty(_check_finite(t, "t"), params.h)
     return float(out) if out.ndim == 0 else out
 
 
-def _penalty(t, h):
-    a = np.abs(t)
-    m = np.minimum(a, h)
-    return 0.5 * m * m + h * (a - m)
+def _penalty(r, h):
+    """The entrywise expression of huber_loss_and_grad, (0.5 c) c + h |r - c|."""
+    c = np.clip(r, -h, h)
+    return 0.5 * c * c + h * np.abs(r - c)
 
 
 def huber_penalty_deriv(t, params: HuberParams):
@@ -83,9 +83,9 @@ def huber_loss_grad(residuals, params: HuberParams):
 def huber_loss_and_grad(residuals, params: HuberParams):
     """(huber_loss(r), huber_loss_grad(r)) from one finiteness check and one clip.
 
-    With c = clip(r, -h, h), |c| is huber_penalty's m = min(|r|, h), (0.5 c) c
-    its 0.5 m m, and |r - c| its |r| - m, each bit for bit; so the value and
-    the gradient equal the two separate calls exactly.
+    It evaluates huber_penalty's expression (0.5 c) c + h |r - c|, with
+    c = clip(r, -h, h), in place, in the same order of operations; so the
+    value and the gradient equal the two separate calls exactly.
     """
     r = _check_finite(residuals, "residuals")
     h = params.h

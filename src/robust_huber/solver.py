@@ -124,13 +124,17 @@ class SolveResult:
     objective: float
     iterations: int
     residual: float
-    converged: bool  # the stopping residual met rel_tol; False on a cap hit
     # "tolerance" (the residual met rel_tol), "cap" (max_iters ran out), or
     # "start" (solve_fista's start already met rel_tol; no iteration ran)
     stop_reason: str
     step: float  # the step in force at the end
     rejected: int  # Anderson points the safeguard refused (always 0 for solve_fista)
     reference_dominated: Optional[bool] = None
+
+    @property
+    def converged(self) -> bool:
+        """The stopping residual met rel_tol; False on a cap hit."""
+        return self.stop_reason != "cap"
 
 
 def composite_objective(problem: CompositeProblem, x) -> float:
@@ -146,10 +150,6 @@ def _fixed_point_residual(problem, x, grad, step):
 def _max_step(problem) -> float:
     # 1/lipschitz; a zero lipschitz (f constant) allows any step
     return 1.0 / max(problem.lipschitz, 1e-30)
-
-
-def _stop_reason(converged: bool) -> str:
-    return "tolerance" if converged else "cap"
 
 
 def _backtracked_prox_step(problem, y, fy, gy, step):
@@ -202,7 +202,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
 
     residual = _fixed_point_residual(problem, x, gx, step)
     if residual <= config.rel_tol:
-        return SolveResult(x, obj_x, 0, residual, True, "start", step, 0)
+        return SolveResult(x, obj_x, 0, residual, "start", step, 0)
 
     y, fy, gy = x, fx, gx
     t_mom = 1.0
@@ -232,9 +232,8 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         if residual <= config.rel_tol:
             break
 
-    converged = residual <= config.rel_tol
-    return SolveResult(x, obj_x, iterations, residual, converged, _stop_reason(converged),
-                       step, 0)
+    stop_reason = "tolerance" if residual <= config.rel_tol else "cap"
+    return SolveResult(x, obj_x, iterations, residual, stop_reason, step, 0)
 
 
 def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
@@ -332,9 +331,9 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
                 step_changes += 1
                 f_prev = tz_prev = primal_from = None
 
-    converged = residual <= config.rel_tol
-    return SolveResult(x_b, f_b + problem.reg_value(x_b), iterations, residual, converged,
-                       _stop_reason(converged), step, rejected)
+    stop_reason = "tolerance" if residual <= config.rel_tol else "cap"
+    return SolveResult(x_b, f_b + problem.reg_value(x_b), iterations, residual, stop_reason,
+                       step, rejected)
 
 
 def _value_and_grad(problem, x):

@@ -6,10 +6,11 @@ decomposability of the regularizer, the cone contraction constant s, the dual
 norm of the loss gradient at the truth, restricted strong convexity kappa on
 the expansion cone at a given radius, and the radius formula R = 4*gamma*s/kappa.
 
-The recovery argument is written once, for both problem kinds: `_kind` is the
-module's one switch on the problem type, and hands assemble_certificate and
-estimate_rsc each kind's ingredients (truth and residual, the error norm E,
-the cone and its s, the curvature scale, and the matrix problem's box).
+The recovery argument is written once, for both problem kinds, on the
+estimator's own objective: the loss, its gradient and the linear image come
+from the estimator's CompositeProblem.  `_kind`, the module's one switch on
+the problem type, adds each kind's truth, cone and s, curvature scale (whose
+root normalises the error norm E), dual norm and the matrix problem's box.
 
 All Monte-Carlo checks draw per-trial generators keyed by (seed, tag, trial),
 so results do not depend on scheduling, and adding trials never flips an
@@ -32,9 +33,11 @@ from .estimators import (
     build_pca_composite,
     build_regression_composite,
 )
-from .huber import HuberParams, huber_loss, huber_loss_grad
+# huber_loss and huber_loss_grad are unused here but stay bound: the per-layer
+# tracer in perfbench/layers.py wraps verification.huber_loss and .huber_loss_grad
+from .huber import huber_loss, huber_loss_grad  # noqa: F401
 from .prox import dual_norm_linf, dual_norm_spectral, nuclear_norm
-from .solver import DOMINATION_MARGIN, certify_against_reference
+from .solver import DOMINATION_MARGIN, CompositeProblem, certify_against_reference
 
 __all__ = [
     "SparseCone",
@@ -273,15 +276,14 @@ def measure_contraction(cone, error_metric: Callable, trials: int, seed: int) ->
 
 
 def loss_gradient_at_truth(problem, h: Optional[float] = None):
-    """Gradient of the smooth loss at the true parameter."""
-    kind = _kind(problem)
-    params = HuberParams(h if h is not None else problem.default_huber_h)
-    return -kind.adjoint(huber_loss_grad(kind.residual_at_truth(), params))
+    """Gradient of the estimator's smooth loss at the true parameter."""
+    return _kind(problem, h).gradient_at_truth()
 
 
 def measure_gradient_dual_norm(problem, h: Optional[float] = None) -> float:
     """Dual norm (l-inf or spectral) of the loss gradient at the truth."""
-    return _kind(problem).dual_norm(loss_gradient_at_truth(problem, h=h))
+    kind = _kind(problem, h)
+    return kind.dual_norm(kind.gradient_at_truth())
 
 
 def gradient_bound_regression(nu: float, n: int, d: int, delta: float) -> float:
@@ -311,7 +313,9 @@ def estimate_rsc(
     Samples cone directions u rescaled to E(u) = radius (E is the prediction
     metric for regression, Frobenius for the matrix problem), and returns
 
-        min_u [F(truth + u) - F(truth) - <grad F(truth), u>] / (radius^2 / 2).
+        min_u [F(truth + u) - F(truth) - <grad F(truth), u>] / (radius^2 / 2)
+
+    with F the estimator's smooth loss.
 
     This is a one-sided (upper) estimate of the restricted strong convexity
     constant at that radius.  A sampled direction with E(u) = 0 raises
@@ -323,19 +327,16 @@ def estimate_rsc(
         raise ValueError("radius must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    kind = _kind(problem)
-    params = HuberParams(h if h is not None else problem.default_huber_h)
-    resid = kind.residual_at_truth()
-    base = huber_loss(resid, params)
-    clip = huber_loss_grad(resid, params)
+    kind = _kind(problem, h)
+    a0, f0, d0 = kind.loss_at_truth()
     worst = np.inf
     found = 0
     i = 0
     while found < trials and i < RSC_ATTEMPTS_PER_SAMPLE * trials:
         rng = stream_rng(seed, _T_RSC, i)
         i += 1
-        # v = image of u, scaled to E(u) = radius; the loss sees truth + u as resid - v
-        v = kind.image(cone.sample(rng))
+        # v = image of u, scaled to E(u) = radius; the loss sees truth + u as a0 + v
+        v = kind.composite.image(cone.sample(rng))
         e = float(np.linalg.norm(v)) / kind.scale
         if e <= 1e-14:
             raise RscSamplingError("sampled cone direction u with E(u) = 0")
@@ -343,7 +344,7 @@ def estimate_rsc(
         if kind.box is not None and np.max(np.abs(kind.truth + v)) > kind.box:
             continue
         found += 1
-        bracket = huber_loss(resid - v, params) - base + float(np.vdot(clip, v))
+        bracket = kind.composite.smooth_eval(a0 + v)[0] - f0 - float(np.vdot(d0, v))
         worst = min(worst, bracket / (0.5 * radius * radius))
     if found < trials:
         raise RscSamplingError(
@@ -572,28 +573,38 @@ class _Kind:
     """What the recovery argument needs from one problem kind."""
 
     truth: Optional[np.ndarray]
-    residual: Callable  # parameter -> observation residual: y - X b, or Y - L
-    image: Callable  # direction u -> the vector E measures: X u, or u
-    adjoint: Callable  # adjoint of image: X^T g, or g
-    scale: float  # E(u) = ||image(u)|| / scale: sqrt(n), or 1
+    composite: CompositeProblem  # the estimator's objective: its loss, image and adjoint
+    info: dict  # the estimator's constants: Huber width "h" and weight "gamma"
     box: Optional[float]  # bound on |truth + u| entrywise (matrix problem, image u)
     dual_norm: Callable  # dual of the regularizer norm: l-inf, or spectral
     kappa_scale: float  # curvature in the quadratic regime: n, or 1
-    build_composite: Callable  # (problem, constants) -> (composite, info)
     geometry: Callable  # seed -> _Geometry; needs the truth
 
-    def residual_at_truth(self) -> np.ndarray:
+    @property
+    def scale(self) -> float:  # E(u) = ||image(u)|| / scale: sqrt(n), or 1
+        return np.sqrt(self.kappa_scale)
+
+    def loss_at_truth(self):
+        """(a0, f0, d0): the truth's image, the loss there and its gradient in the image."""
         if self.truth is None:
             raise ValueError("problem carries no truth")
-        return self.residual(self.truth)
+        a0 = self.composite.image(self.truth)
+        f0, d0 = self.composite.smooth_eval(a0)
+        return a0, f0, d0
+
+    def gradient_at_truth(self) -> np.ndarray:
+        return self.composite.adjoint(self.loss_at_truth()[2])
 
     def error(self, u) -> float:
         """The error norm E(u): ||X u|| / sqrt(n), or ||u||_F."""
-        return float(np.linalg.norm(self.image(u))) / self.scale
+        return float(np.linalg.norm(self.composite.image(u))) / self.scale
 
 
-def _kind(problem) -> _Kind:
-    """The ingredients of problem's kind: the module's one switch on it."""
+def _kind(problem, h=None, constants=None) -> _Kind:
+    """The ingredients of problem's kind: the module's one switch on it.  The
+    composite is built with constants, or else with Huber width h if given."""
+    if constants is None:
+        constants = EstimatorConstants(huber_h_override=h)
     match problem:
         case RegressionProblem():
             X = problem.X
@@ -605,16 +616,14 @@ def _kind(problem) -> _Kind:
                 s = 4.0 * np.sqrt(problem.k / lambda_hat) if lambda_hat > 0 else np.inf
                 return _Geometry(SparseCone(problem.support, problem.d), s, lambda_hat)
 
+            composite, info = build_regression_composite(problem, constants)
             return _Kind(
                 truth=problem.beta_star,
-                residual=lambda beta: problem.y - X @ beta,
-                image=lambda u: X @ u,
-                adjoint=lambda g: X.T @ g,
-                scale=np.sqrt(problem.n),
+                composite=composite,
+                info=info,
                 box=None,
                 dual_norm=dual_norm_linf,
                 kappa_scale=float(problem.n),
-                build_composite=build_regression_composite,
                 geometry=regression_geometry,
             )
         case PcaProblem():
@@ -634,16 +643,14 @@ def _kind(problem) -> _Kind:
                     feasible_diameter=float(np.linalg.norm(rho_over_n + np.abs(L_star))),
                 )
 
+            composite, info = build_pca_composite(problem, constants)
             return _Kind(
                 truth=L_star,
-                residual=lambda L: problem.Y - L,
-                image=lambda u: u,
-                adjoint=lambda g: g,
-                scale=1.0,
+                composite=composite,
+                info=info,
                 box=rho_over_n * (1 + 1e-12),
                 dual_norm=dual_norm_spectral,
                 kappa_scale=1.0,
-                build_composite=build_pca_composite,
                 geometry=pca_geometry,
             )
     raise TypeError(f"unsupported problem type {type(problem)!r}")
@@ -705,11 +712,10 @@ def assemble_certificate(
     the box's feasible diameter leaves the curvature condition vacuous
     (rsc_vacuous), and the radius bound then holds without consistency.
     """
-    kind = _kind(problem)
+    kind = _kind(problem, constants=constants)
     geo = kind.geometry(params.seed)
-    cone, s, truth = geo.cone, geo.s, kind.truth
-    composite, info = kind.build_composite(problem, constants)
-    h, gamma_est = info["h"], info["gamma"]
+    cone, s, truth, composite = geo.cone, geo.s, kind.truth, kind.composite
+    h, gamma_est = kind.info["h"], kind.info["gamma"]
 
     gamma_measured = 2.0 * measure_gradient_dual_norm(problem, h=h)
     decomp = check_decomposability(
@@ -737,10 +743,10 @@ def assemble_certificate(
     point = np.asarray(estimate, dtype=float)
     delta_hat = point - truth
     err = kind.error(delta_hat)
-    hp = HuberParams(h)
 
     def objective_meas(x):
-        return huber_loss(kind.residual(x), hp) + gamma_measured * cone.reg_norm(x)
+        f, _ = composite.smooth_eval(composite.image(x))
+        return f + gamma_measured * cone.reg_norm(x)
 
     return MetaCertificate(
         gamma_measured=gamma_measured,

@@ -918,6 +918,39 @@ def test_cli_sweep_rejects_bad_config_at_load(tmp_path, capsys, name, ini, messa
     assert err.startswith("configuration error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("trials_per_point = 2.5", "trials_per_point must be an integer, got 2.5"),
+        ("trials_per_point = 1.5", "trials_per_point must be an integer, got 1.5"),
+        ("seed = 2.9", "seed must be an integer, got 2.9"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("seed = -3", "seed must be >= 0, got -3"),
+    ],
+)
+def test_cli_rejects_run_shape_keys_at_load(tmp_path, capsys, value, message):
+    # the value is checked as parsed: int() would run 1.5 trials as 1 and seed
+    # 2.9 as seed 2, and a negative seed failed only inside the trials
+    key = value.split()[0]
+    ini = re.sub(rf"^{key} = .*$", value, TINY_REGRESSION_INI, flags=re.M)
+    cfg = write_config(tmp_path, "shape.ini", ini)
+    out = tmp_path / "shape.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_spec_requires_integer_trials_and_seed():
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="trials_per_point must be an integer"):
+            tiny_regression_spec(trials_per_point=bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            tiny_regression_spec(seed=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        tiny_regression_spec(seed=-1)
+    assert tiny_regression_spec(trials_per_point=np.int64(2), seed=np.int64(0)).seed == 0
+
+
 def test_cli_bug_in_a_trial_is_not_a_config_error(tmp_path, monkeypatch):
     break_trials(monkeypatch, "regression_n_sweep")
     cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)

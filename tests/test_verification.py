@@ -32,6 +32,7 @@ from robust_huber import (
     estimate_pca,
     estimate_sparse_regression,
 )
+from robust_huber.huber import HuberParams, huber_loss_grad
 from robust_huber.verification import CONDITION_NAMES, RADIUS_RTOL, loss_gradient_at_truth
 
 
@@ -289,6 +290,27 @@ def test_gradient_requires_truth():
         loss_gradient_at_truth(prob)
     with pytest.raises(TypeError):
         loss_gradient_at_truth([1, 2, 3])
+
+
+def test_gradient_is_the_reference_formula_bit_for_bit():
+    # the certificate reads the gradient off the estimator's composite; it must
+    # be the textbook -X^T clip(y - X beta*) and -clip(Y - L*), to the bit
+    noise = NoiseSpec("symmetric_mixture", alpha=0.7)
+    reg = make_regression_instance(300, 12, SignalSpec(2, 3.0), noise, seed=21)
+    pca = make_pca_instance(20, 1, noise, 1.0, seed=22, l_scale=0.5)
+    for h in (None, 0.5):
+        hp = HuberParams(h or reg.default_huber_h)
+        expected = -(reg.X.T @ huber_loss_grad(reg.y - reg.X @ reg.beta_star, hp))
+        assert loss_gradient_at_truth(reg, h=h).tobytes() == expected.tobytes()
+        hp = HuberParams(h or pca.default_huber_h)
+        expected = -huber_loss_grad(pca.Y - pca.L_star, hp)
+        assert loss_gradient_at_truth(pca, h=h).tobytes() == expected.tobytes()
+
+
+def test_gradient_rejects_a_zero_huber_width():
+    prob = RegressionProblem(X=np.eye(2), y=np.ones(2), beta_star=np.zeros(2))
+    with pytest.raises(ValueError):
+        measure_gradient_dual_norm(prob, h=0)
 
 
 def test_gradient_bound_formulas():

@@ -133,6 +133,8 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
+    if args.workdir is not None:  # mkdtemp needs its parent to exist
+        args.workdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkouts = {side: Path(tmp) / side for side in ("base", "head")}
         shas = {side: export(getattr(args, side), path) for side, path in checkouts.items()}

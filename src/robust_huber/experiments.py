@@ -5,7 +5,8 @@ Every scenario is one row of SCENARIOS: its instance builder, its per-trial
 metrics, its pass/fail checks, its plot axes and the parameter keys it reads.
 A spec is checked against its row when it is made, so a config with an
 unknown or a missing key, or a value of the wrong type, fails at load,
-before any trial runs.
+before any trial runs.  PARAMS states each parameter's type and default
+once, and Scenario.resolve fills in the defaults for builders and checks.
 
 A run is a pure function of (config bytes, seed): every trial derives its
 instance seed from (seed, grid point index, trial index), workers share
@@ -25,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from math import log
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,8 +90,8 @@ class ExperimentSpec:
     """One scenario with its grid, fixed parameters, and solver knobs.
 
     Made only with the parameter keys its SCENARIOS row reads, each of the
-    type PARAM_TYPES gives (Scenario.check_keys); anything else raises
-    ValueError here.
+    type PARAMS gives (Scenario.check_keys); anything else raises ValueError
+    here.  params keeps what the config gave: no default is filled in.
     """
 
     scenario: str
@@ -218,52 +219,61 @@ def grid_points(grid: dict) -> list[dict]:
 
 
 def _noise(p: dict) -> NoiseSpec:
-    return NoiseSpec(
-        family=p.get("noise_family", "symmetric_mixture"),
-        alpha=float(p["alpha"]),
-        zeta=float(p.get("zeta", 1.0)),
-        outlier_scale=float(p.get("outlier_scale", 100.0)),
-    )
-
-
-def _signal(p: dict) -> SignalSpec:
-    return SignalSpec(k=int(p["k"]), magnitude=float(p.get("magnitude", 1.0)))
+    return NoiseSpec(p["noise_family"], p["alpha"], p["zeta"], p["outlier_scale"])
 
 
 def _build_regression(p, instance_seed):
-    return make_regression_instance(int(p["n"]), int(p["d"]), _signal(p), _noise(p), instance_seed)
+    signal = SignalSpec(k=p["k"], magnitude=p["magnitude"])
+    return make_regression_instance(p["n"], p["d"], signal, _noise(p), instance_seed)
 
 
 def _build_gaussian_design(p, instance_seed):
-    return make_gaussian_design_instance(
-        int(p["n"]), int(p["d"]), _signal(p), float(p["alpha"]), instance_seed
-    )
+    signal = SignalSpec(k=p["k"], magnitude=p["magnitude"])
+    return make_gaussian_design_instance(p["n"], p["d"], signal, p["alpha"], instance_seed)
 
 
 def _build_pca(p, instance_seed):
     return make_pca_instance(
-        int(p["n"]),
-        int(p["r"]),
-        _noise(p),
-        float(p.get("rho_over_n", 1.0)),
-        instance_seed,
-        l_scale=float(p.get("l_scale", 1.0)),
+        p["n"], p["r"], _noise(p), p["rho_over_n"], instance_seed, l_scale=p["l_scale"]
     )
 
 
 def _build_completion(p, instance_seed):
     return gen_matrix_completion_scenario(
-        int(p["n"]),
-        int(p["r"]),
-        float(p["alpha"]),
-        float(p.get("zeta", 1.0)),
-        float(p.get("rho_over_n", 1.0)),
-        instance_seed,
+        p["n"], p["r"], p["alpha"], p["zeta"], p["rho_over_n"], instance_seed
     )
 
 
 def _build_phase(p, instance_seed):
-    return phase_instance(int(p["n"]), int(p["r"]), float(p["alpha"]), instance_seed)
+    return phase_instance(p["n"], p["r"], p["alpha"], instance_seed)
+
+
+class Param(NamedTuple):
+    type: type
+    default: object = None  # None: required wherever it is read
+
+
+# Every scenario parameter: its type, checked when a spec is made (n = sixty is
+# a config error, not a failure of each trial), and its default.
+PARAMS = {
+    **dict.fromkeys(("n", "d", "k", "r"), Param(numbers.Integral)),
+    **dict.fromkeys(("alpha", "epsilon"), Param(numbers.Real)),
+    "zeta": Param(numbers.Real, 1.0),
+    "outlier_scale": Param(numbers.Real, 100.0),
+    "magnitude": Param(numbers.Real, 1.0),
+    "rho_over_n": Param(numbers.Real, 1.0),
+    "l_scale": Param(numbers.Real, 1.0),
+    "noise_family": Param(str, "symmetric_mixture"),
+    "family": Param(str, "regression"),  # the FAMILIES entry meta_certificate solves
+    # a replicate index: no code reads it, each value gets its own instance seed
+    "instance": Param(numbers.Integral, 0),
+}
+_TYPE_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a name"}
+
+
+def _defaults(keys) -> dict:
+    """The PARAMS default of each of keys that has one."""
+    return {key: PARAMS[key].default for key in keys if PARAMS[key].default is not None}
 
 
 @dataclass(frozen=True)
@@ -271,29 +281,14 @@ class Family:
     """One kind of problem instance: its builder and the keys the builder reads."""
 
     build: Callable[[dict, int], object]
-    required: frozenset
-    optional: frozenset = frozenset()
+    reads: frozenset
 
 
-_NOISE_KEYS = frozenset({"noise_family", "zeta", "outlier_scale"})
-_REGRESSION = Family(
-    _build_regression, frozenset({"n", "d", "k", "alpha"}), _NOISE_KEYS | {"magnitude"}
-)
-_PCA = Family(_build_pca, frozenset({"n", "r", "alpha"}), _NOISE_KEYS | {"rho_over_n", "l_scale"})
-# The type of every scenario parameter, checked when a spec is made: a value
-# of the wrong type (n = sixty) is a config error, not a failure of each trial.
-PARAM_TYPES = {
-    **dict.fromkeys(("n", "d", "k", "r", "instance"), numbers.Integral),
-    **dict.fromkeys(
-        ("alpha", "zeta", "outlier_scale", "magnitude", "rho_over_n", "l_scale", "epsilon"),
-        numbers.Real,
-    ),
-    **dict.fromkeys(("noise_family", "family"), str),
-}
-_TYPE_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number", str: "a name"}
+_NOISE_KEYS = frozenset({"noise_family", "alpha", "zeta", "outlier_scale"})  # read by _noise
+_REGRESSION = Family(_build_regression, _NOISE_KEYS | {"n", "d", "k", "magnitude"})
+_PCA = Family(_build_pca, _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"})
 # meta_certificate solves whichever of these its `family` parameter names
 FAMILIES = {"regression": _REGRESSION, "pca": _PCA}
-DEFAULT_FAMILY = "regression"
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +297,11 @@ DEFAULT_FAMILY = "regression"
 
 
 def build_instance(spec: ExperimentSpec, p: dict, instance_seed: int):
-    """The problem object a given scenario solves, before solving it."""
-    return SCENARIOS[spec.scenario].family_for(p).build(p, instance_seed)
+    """The problem object a given scenario solves, before solving it.  p is
+    the spec's parameters with a grid point; a key it lacks gets its default."""
+    row = SCENARIOS[spec.scenario]
+    p = row.resolve(p)
+    return row.family_for(p).build(p, instance_seed)
 
 
 def _solve(spec: ExperimentSpec, problem):
@@ -327,7 +325,7 @@ def run_certificate(spec: ExperimentSpec, p: dict, instance_seed: int):
     """Solve one instance and assemble its certificate."""
     problem = build_instance(spec, p, instance_seed)
     estimate, result, _ = _solve(spec, problem)
-    cert_params = CertificateParams(alpha=float(p["alpha"]), seed=instance_seed)
+    cert_params = CertificateParams(alpha=p["alpha"], seed=instance_seed)
     cert = assemble_certificate(problem, estimate, spec.constants, cert_params)
     return problem, estimate, result, cert
 
@@ -338,10 +336,8 @@ def _solve_metrics(spec, p, instance_seed):
 
 
 def _phase_metrics(spec, p, instance_seed):
-    rec = phase_trial(
-        int(p["n"]), int(p["r"]), float(p["alpha"]), instance_seed, spec.constants, spec.solver
-    )
-    success = rec["rel_error"] <= float(p["epsilon"])
+    rec = phase_trial(p["n"], p["r"], p["alpha"], instance_seed, spec.constants, spec.solver)
+    success = rec["rel_error"] <= p["epsilon"]
     return (
         {"rel_error": rec["rel_error"]},
         rec["iterations"],
@@ -644,7 +640,8 @@ def emit_report(
 
 # ---------------------------------------------------------------------------
 # scenario-level pass/fail rules (shared by the CLI and the acceptance tests).
-# Each takes the spec's fixed parameters and the rows without errors.
+# Each takes the spec's fixed parameters, defaults filled in, and the rows
+# without errors.
 
 
 def _no_checks(p: dict, rows: Sequence[ResultRow]) -> list:
@@ -652,7 +649,7 @@ def _no_checks(p: dict, rows: Sequence[ResultRow]) -> list:
 
 
 def _regression_bounds(p, rows):
-    k, d, alpha = int(p["k"]), int(p["d"]), float(p["alpha"])
+    k, d, alpha = p["k"], p["d"], p["alpha"]
     out = []
     for n, med in median_by_point(rows, "n", "prediction_error_sq").items():
         bound = 100.0 * k * log(d) / (alpha**2 * n)
@@ -661,8 +658,8 @@ def _regression_bounds(p, rows):
 
 
 def _pca_bounds(p, rows):
-    r_rank, alpha = int(p["r"]), float(p["alpha"])
-    scale = float(p.get("zeta", 1.0)) + float(p.get("rho_over_n", 1.0))
+    r_rank, alpha = p["r"], p["alpha"]
+    scale = p["zeta"] + p["rho_over_n"]
     out = []
     for n, med in median_by_point(rows, "n", "frobenius_error").items():
         bound = float(10.0 * np.sqrt(r_rank * n) / alpha * scale)
@@ -674,7 +671,7 @@ def _success_fractions(p, rows: Sequence[ResultRow]):
     """Success fraction and trial count per alpha, swept or fixed."""
     by_alpha: dict = {}
     for row in rows:
-        alpha = row.point.get("alpha", p.get("alpha"))
+        alpha = {**p, **row.point}["alpha"]
         by_alpha.setdefault(alpha, []).append(bool(row.flags.get("success")))
     return {alpha: (float(np.mean(v)), len(v)) for alpha, v in sorted(by_alpha.items())}
 
@@ -760,7 +757,7 @@ def scenario_assertions(
         out.append(
             ("no_trial_errors", False, f"{len(rows) - len(clean)} rows failed; first: {bad.error}")
         )
-    out += row.checks(spec.params, clean)
+    out += row.checks(row.resolve(spec.params), clean)
     if row.slope is not None:
         x_field, y_field, _ = row.plot
         out.append(_slope_check(clean, x_field, y_field, *row.slope))
@@ -781,31 +778,38 @@ class Scenario:
     checks: Callable = _no_checks  # (fixed parameters, error-free rows) -> triples
     # (centre, half-width) of the allowed log-log slope of the plotted y vs x
     slope: Optional[tuple] = None
-    required: frozenset = frozenset()  # read by the trial or checks, beyond the family's
-    optional: frozenset = frozenset()
+    reads: frozenset = frozenset()  # read by the trial or checks, beyond the family's
     fixed: frozenset = frozenset()  # read once from the fixed parameters: never a grid axis
 
     def family_for(self, p: dict) -> Family:
         if self.family is not None:
             return self.family
-        name = p.get("family", DEFAULT_FAMILY)
+        name = {**_defaults(self.reads), **p}["family"]
         if name not in FAMILIES:
             raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}")
         return FAMILIES[name]
 
+    def reads_for(self, p: dict) -> frozenset:
+        """Every key this row reads with parameters p: its own and its family's."""
+        return self.reads | self.family_for(p).reads
+
+    def resolve(self, p: dict) -> dict:
+        """p with the PARAMS default of every key this row reads and p lacks."""
+        return {**_defaults(self.reads_for(p)), **p}
+
     def check_keys(self, scenario: str, grid: dict, params: dict) -> None:
         """Raise ValueError unless grid and params hold exactly the keys this
         scenario reads, every required one and nothing it would ignore, each
-        with values of its PARAM_TYPES type."""
+        with values of its PARAMS type.  The required keys are those without
+        a default."""
         both = sorted(set(grid) & set(params))
         if both:
             raise ValueError(f"[{scenario}] {both} given both fixed and swept")
         swept = sorted(self.fixed & set(grid))
         if swept:
             raise ValueError(f"[{scenario}] {swept} must be fixed, not swept")
-        family = self.family_for(params)
-        required = self.required | family.required
-        allowed = required | self.optional | family.optional
+        allowed = self.reads_for(params)
+        required = {key for key in allowed if PARAMS[key].default is None}
         keys = set(grid) | set(params)
         unknown = sorted(keys - allowed)
         if unknown:
@@ -816,7 +820,7 @@ class Scenario:
         if missing:
             raise ValueError(f"[{scenario}] missing required parameter(s) {missing}")
         for key in sorted(keys):
-            kind = PARAM_TYPES[key]
+            kind = PARAMS[key].type
             for value in grid[key] if key in grid else [params[key]]:
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(
@@ -840,9 +844,7 @@ SCENARIOS: dict[str, Scenario] = {
         slope=(-2.0, 0.4),
     ),
     "regression_gaussian_design": Scenario(
-        family=Family(
-            _build_gaussian_design, frozenset({"n", "d", "k", "alpha"}), frozenset({"magnitude"})
-        ),
+        family=Family(_build_gaussian_design, frozenset({"n", "d", "k", "alpha", "magnitude"})),
         trial=_solve_metrics,
         plot=("n", "prediction_error_sq", True),
     ),
@@ -861,9 +863,7 @@ SCENARIOS: dict[str, Scenario] = {
         slope=(-1.0, 0.3),
     ),
     "matrix_completion": Scenario(
-        family=Family(
-            _build_completion, frozenset({"n", "r", "alpha"}), frozenset({"zeta", "rho_over_n"})
-        ),
+        family=Family(_build_completion, frozenset({"n", "r", "alpha", "zeta", "rho_over_n"})),
         trial=_solve_metrics,
         plot=("alpha", "frobenius_error", False),
     ),
@@ -872,14 +872,14 @@ SCENARIOS: dict[str, Scenario] = {
         trial=_phase_metrics,
         plot=("alpha", "rel_error", False),
         checks=_phase_checks,
-        required=frozenset({"epsilon"}),
+        reads=frozenset({"epsilon"}),
     ),
     "meta_certificate": Scenario(
         family=None,
         trial=_certificate_metrics,
         plot=("instance", "error_value", False),
         checks=_meta_checks,
-        optional=frozenset({"family", "instance"}),
+        reads=frozenset({"family", "instance"}),
         fixed=frozenset({"family"}),
     ),
 }

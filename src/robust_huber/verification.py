@@ -717,7 +717,7 @@ def assemble_certificate(
     cone, s, truth, composite = geo.cone, geo.s, kind.truth, kind.composite
     h, gamma_est = kind.info["h"], kind.info["gamma"]
 
-    gamma_measured = 2.0 * measure_gradient_dual_norm(problem, h=h)
+    gamma_measured = 2.0 * kind.dual_norm(kind.gradient_at_truth())
     decomp = check_decomposability(
         cone.reg_norm, *cone.subspace_samplers(), TRIALS_DECOMPOSABILITY, params.seed
     )

@@ -105,3 +105,25 @@ def test_main_writes_both_verdicts_for_every_metric_and_leaves_benchmark_json(
     assert summary["wall_s"]["within_bound"] is True
     assert all("within_bound" in summary[n] for n in names)
     assert benchmark.read_bytes() == before
+
+
+def test_main_makes_a_workdir_that_does_not_exist_yet(tmp_path, monkeypatch):
+    import json
+
+    benchmark = SCRIPT.parent.parent / "BENCHMARK.json"
+    names = [m["name"] for m in json.loads(benchmark.read_text())["end_to_end"]]
+    exported = []
+
+    def fake_export(rev, dest):
+        exported.append(dest)
+        return rev
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"correct": True, "metrics": {n: {"value": 1.0} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    workdir = tmp_path / "new" / "deeper"
+    assert bench_pairs.main(["--base", "b", "--head", "h", "--workload", "w", "--seeds", "1",
+                             "--out", str(tmp_path / "bench.json"), "--workdir", str(workdir)]) == 0
+    assert workdir.is_dir() and all(workdir in dest.parents for dest in exported)

@@ -264,12 +264,28 @@ def test_spec_rejects_parameters_of_the_wrong_type():
     tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 1})  # an integer is a real number
 
 
+def families_of(row):
+    return experiments.FAMILIES.values() if row.family is None else [row.family]
+
+
 def test_every_parameter_a_scenario_reads_has_a_type():
     for row in experiments.SCENARIOS.values():
-        families = experiments.FAMILIES.values() if row.family is None else [row.family]
-        for family in families:
-            keys = row.required | row.optional | family.required | family.optional
-            assert keys <= set(experiments.PARAM_TYPES)
+        for family in families_of(row):
+            assert row.reads | family.reads <= set(experiments.PARAMS)
+
+
+def test_every_parameter_is_read_by_some_scenario_or_family():
+    read = set()
+    for row in experiments.SCENARIOS.values():
+        for family in families_of(row):
+            read |= row.reads | family.reads
+    assert read == set(experiments.PARAMS)
+
+
+def test_every_default_has_its_parameter_type():
+    for key, param in experiments.PARAMS.items():
+        if param.default is not None:
+            assert isinstance(param.default, param.type) and not isinstance(param.default, bool), key
 
 
 def test_spec_rejects_keys_swept_where_they_must_be_fixed():
@@ -301,12 +317,69 @@ def test_meta_certificate_keys_follow_its_family():
 
 
 def test_every_scenario_requires_alpha_and_reads_its_plot_axis():
+    assert experiments.PARAMS["alpha"].default is None
     for name, row in experiments.SCENARIOS.items():
-        families = experiments.FAMILIES.values() if row.family is None else [row.family]
-        for family in families:
-            required = row.required | family.required
-            assert "alpha" in required, name
-            assert row.plot[0] in required | row.optional | family.optional, name
+        for family in families_of(row):
+            assert "alpha" in row.reads | family.reads, name
+            assert row.plot[0] in row.reads | family.reads, name
+
+
+# required keys of each scenario (and meta_certificate family) at a size that
+# builds in milliseconds; the grid sweeps n, which no scenario fixes
+SMALL_REQUIRED = {
+    "regression_n_sweep": {"d": 8, "k": 2, "alpha": 0.8},
+    "regression_alpha_sweep": {"d": 8, "k": 2, "alpha": 0.8},
+    "regression_gaussian_design": {"d": 8, "k": 2, "alpha": 0.5},
+    "pca_n_sweep": {"r": 1, "alpha": 0.8},
+    "pca_alpha_sweep": {"r": 1, "alpha": 0.8},
+    "matrix_completion": {"r": 1, "alpha": 0.8},
+    "lowerbound_phase": {"r": 1, "alpha": 0.25, "epsilon": 0.5},
+}
+DEFAULT_CASES = [(name, {}, params) for name, params in SMALL_REQUIRED.items()] + [
+    ("meta_certificate", {}, {"d": 8, "k": 2, "alpha": 0.8}),
+    ("meta_certificate", {"family": "pca"}, {"r": 1, "alpha": 0.8}),
+]
+
+
+def default_pair(scenario, given, required, n=16):
+    """Two specs of one scenario: one omits every key that has a default
+    (`given` aside), one sets each of those keys to its PARAMS default."""
+    omitted = ExperimentSpec(scenario=scenario, grid={"n": [n]}, params={**given, **required})
+    keys = experiments.SCENARIOS[scenario].reads_for(omitted.params)
+    defaults = {k: experiments.PARAMS[k].default for k in keys
+                if experiments.PARAMS[k].default is not None}
+    explicit = ExperimentSpec(
+        scenario=scenario, grid={"n": [n]}, params={**defaults, **given, **required}
+    )
+    assert set(explicit.params) - set(omitted.params) == set(defaults) - set(given)
+    return omitted, explicit
+
+
+@pytest.mark.parametrize("scenario, given, required", DEFAULT_CASES,
+                         ids=[f"{c[0]}-{c[1].get('family', 'default')}" for c in DEFAULT_CASES])
+def test_omitted_defaults_build_the_instance_bit_for_bit(scenario, given, required):
+    omitted, explicit = default_pair(scenario, given, required)
+    a, b = (experiments.build_instance(spec, {**spec.params, "n": 16}, 1234)
+            for spec in (omitted, explicit))
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+        assert x.dtype == y.dtype and x.shape == y.shape, field.name
+        assert x.tobytes() == y.tobytes(), field.name
+
+
+def test_omitted_defaults_give_the_pca_checks_the_same_details():
+    omitted, explicit = default_pair("pca_n_sweep", {}, {"r": 2, "alpha": 0.8})
+    rows = rows_from(
+        "pca_n_sweep", "n", [(n, 0.5 * np.sqrt(n)) for n in (50, 100, 200)], "frobenius_error"
+    )
+    details = [[detail for _, _, detail in scenario_assertions(spec, rows)]
+               for spec in (omitted, explicit)]
+    assert details[0] == details[1]
+    # the bound reads zeta + rho_over_n = 1.0 + 1.0, the defaults
+    bound = 10.0 * np.sqrt(2 * 50) / 0.8 * 2.0
+    assert f"<= {bound:.6g}" in details[0][0]
+    assert omitted.params == {"r": 2, "alpha": 0.8}  # the spec keeps what was given
 
 
 # ---------------------------------------------------------------------------

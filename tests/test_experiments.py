@@ -382,6 +382,13 @@ def test_omitted_defaults_give_the_pca_checks_the_same_details():
     assert omitted.params == {"r": 2, "alpha": 0.8}  # the spec keeps what was given
 
 
+def test_a_swept_defaulted_key_overrides_its_default():
+    spec = ExperimentSpec(scenario="pca_alpha_sweep", grid={"alpha": [0.8]}, params={"n": 12, "r": 1})
+    swept = dataclasses.replace(spec, grid={"alpha": [0.8], "zeta": [0.25]})
+    p = {**swept.params, **grid_points(swept.grid)[0]}
+    assert experiments.build_instance(swept, p, 7).zeta == 0.25
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

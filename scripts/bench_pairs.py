@@ -40,11 +40,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'901-910' or '901,905,907' (or a mix) as a list of seeds."""
+    """'901-910' or '901,905,907' (or a mix) as a list of seeds.  An empty
+    list, a reversed range or a repeated seed is an argparse error: each would
+    run fewer pairs, or one pair twice, without saying so."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        try:
+            lo, hi = int(lo), int(hi or lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a seed or a range") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"reversed seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"seed(s) {repeated} given more than once")
     return seeds
 
 

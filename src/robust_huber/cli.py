@@ -13,16 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import trial_seed
 from .estimators import RegressionProblem
 from .experiments import (
-    NUMERIC_ERRORS as _NUMERIC_ERRORS,
+    NUMERIC_ERRORS,
     ExperimentSpec,
     _solve,
     build_instance,
     emit_csv,
     emit_report,
-    grid_points,
     run_certificate,
     run_experiment,
 )
@@ -36,11 +34,12 @@ def _load_spec(args) -> ExperimentSpec:
     return ExperimentSpec.from_config(args.config, scenario=args.scenario, seed=args.seed)
 
 
-def _first_point(spec: ExperimentSpec):
-    point = grid_points(spec.grid)[0]
-    p = dict(spec.params)
-    p.update(point)
-    return p
+def _first_trial(args):
+    """The configured spec, and the parameters and instance seed of its first
+    trial: the instance gen, solve and verify work on."""
+    spec = _load_spec(args)
+    _, _, p, instance_seed = next(spec.trials())
+    return spec, p, instance_seed
 
 
 def _write_matrix(path, M, prefix: str) -> None:
@@ -50,9 +49,8 @@ def _write_matrix(path, M, prefix: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    spec = _load_spec(args)
-    p = _first_point(spec)
-    problem = build_instance(spec, p, trial_seed(spec.seed, 0, 0))
+    spec, p, instance_seed = _first_trial(args)
+    problem = build_instance(spec, p, instance_seed)
     out = args.out or f"{spec.scenario}_data.csv"
     if isinstance(problem, RegressionProblem):
         data = np.column_stack([problem.X, problem.y])
@@ -66,9 +64,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = _load_spec(args)
-    p = _first_point(spec)
-    problem = build_instance(spec, p, trial_seed(spec.seed, 0, 0))
+    spec, p, instance_seed = _first_trial(args)
+    problem = build_instance(spec, p, instance_seed)
     estimate, result, metrics = _solve(spec, problem)
     print(f"objective = {result.objective:.17g}")
     print(f"iterations = {result.iterations}")
@@ -85,9 +82,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args)
-    p = _first_point(spec)
-    _, _, _, cert = run_certificate(spec, p, trial_seed(spec.seed, 0, 0))
+    _, _, _, cert = run_certificate(*_first_trial(args))
     report = cert.to_report()
     if args.out:
         Path(args.out).write_text(report)
@@ -102,8 +97,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERT
 
 
-def _run_sweep(args, spec: ExperimentSpec) -> int:
-    total = len(grid_points(spec.grid)) * spec.trials_per_point
+def cmd_sweep(args) -> int:
+    spec = _load_spec(args)
+    total = sum(1 for _ in spec.trials())
     done = [0]
 
     def progress(row):
@@ -125,17 +121,6 @@ def _run_sweep(args, spec: ExperimentSpec) -> int:
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_ASSERT
 
 
-def cmd_sweep(args) -> int:
-    return _run_sweep(args, _load_spec(args))
-
-
-def cmd_phase(args) -> int:
-    spec = _load_spec(args)
-    if spec.scenario != "lowerbound_phase":
-        raise ValueError("phase subcommand requires a lowerbound_phase config")
-    return _run_sweep(args, spec)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="robust-huber",
@@ -148,7 +133,6 @@ def main(argv=None) -> int:
         "solve": (cmd_solve, "solve a single configured instance"),
         "verify": (cmd_verify, "solve one instance and report its certificate"),
         "sweep": (cmd_sweep, "run a configured experiment grid"),
-        "phase": (cmd_phase, "run the lower-bound phase experiment"),
     }
     for name, (fn, help_text) in handlers.items():
         sp = sub.add_parser(name, help=help_text)
@@ -156,13 +140,13 @@ def main(argv=None) -> int:
         sp.add_argument("--scenario", default=None, help="section to use when several exist")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="output path")
-        if name in ("sweep", "phase"):
+        if name == "sweep":
             sp.add_argument("--threads", type=int, default=1, help="worker processes")
         sp.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _CONFIG_ERRORS as exc:

@@ -150,10 +150,6 @@ class PcaProblem:
         return self.Y.shape[0]
 
     @property
-    def rho(self) -> float:
-        return self.rho_over_n * self.n
-
-    @property
     def default_huber_h(self) -> float:
         """zeta + rho/n, which also scales the regularization weight."""
         return self.zeta + self.rho_over_n

@@ -714,6 +714,8 @@ def assemble_certificate(
     """
     kind = _kind(problem, constants=constants)
     geo = kind.geometry(params.seed)
+    if geo.radius_cap <= 0:
+        raise RscSamplingError("truth sits on the box boundary; no feasible cone samples exist")
     cone, s, truth, composite = geo.cone, geo.s, kind.truth, kind.composite
     h, gamma_est = kind.info["h"], kind.info["gamma"]
 
@@ -724,8 +726,6 @@ def assemble_certificate(
     contraction_measured = measure_contraction(
         cone, kind.error, TRIALS_CONTRACTION, params.seed
     )
-    if geo.radius_cap <= 0:
-        raise RscSamplingError("truth sits on the box boundary; no feasible cone samples exist")
     kappa, kappa_radius, R, consistent = _radius_fixed_point(
         problem, cone, gamma_measured, s, params.seed, h, kind.kappa_scale, geo.radius_cap
     )

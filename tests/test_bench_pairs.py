@@ -1,7 +1,10 @@
 """The paired benchmark script's seed parsing, per-metric summary and verdicts."""
 
+import argparse
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -12,6 +15,15 @@ spec.loader.exec_module(bench_pairs)
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("901-903") == [901, 902, 903]
     assert bench_pairs.parse_seeds("5,7-8") == [5, 7, 8]
+    # an empty list, a reversed range or a repeated seed would run fewer or
+    # doubled pairs without a word, so each is an argparse error (exit 2)
+    for bad in ("910-901", "", "5,5", "5,4-6", "7-8,8"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.parse_seeds(bad)
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.main(["--base", "HEAD", "--head", "HEAD", "--workload", "w",
+                              "--seeds", bad])
+        assert exit_.value.code == 2
 
 
 def test_summary_counts_head_wins_by_direction_and_skips_unpaired_runs():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from robust_huber import EstimatorConstants, SolverConfig
+from robust_huber.datagen import trial_seed
 from robust_huber.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from robust_huber import experiments
 from robust_huber.experiments import (
@@ -175,6 +176,35 @@ def test_run_experiment_rows():
         assert row.iterations >= 1
         assert "dominated" in row.flags
     assert [r.trial for r in rows] == [0, 1]
+
+
+def test_spec_trials_order_seeds_and_rows():
+    # magnitude has a default and is swept; the rows come back in trials() order
+    spec = tiny_regression_spec(
+        scenario="regression_alpha_sweep",
+        grid={"alpha": [0.8, 0.9], "magnitude": [2.0, 3.0]},
+        params={"n": 30, "d": 8, "k": 2},
+        trials_per_point=2,
+        seed=11,
+    )
+    trials = list(spec.trials())
+    expected = [
+        (point, t, {**spec.params, **point}, trial_seed(11, i, t))
+        for i, point in enumerate(grid_points(spec.grid))
+        for t in range(2)
+    ]
+    assert trials == expected
+    assert [(pt, t) for pt, t, _, _ in trials[:3]] == [
+        ({"alpha": 0.8, "magnitude": 2.0}, 0),
+        ({"alpha": 0.8, "magnitude": 2.0}, 1),
+        ({"alpha": 0.8, "magnitude": 3.0}, 0),
+    ]
+    rows = run_experiment(spec)
+    assert [(r.point, r.trial) for r in rows] == [(pt, t) for pt, t, _, _ in trials]
+    # each row solved its trial's instance
+    _, _, p, seed = trials[-1]
+    _, _, metrics = experiments._solve(spec, experiments.build_instance(spec, p, seed))
+    assert rows[-1].metrics == metrics
 
 
 def test_run_experiment_deterministic_and_parallel_identical(tmp_path):
@@ -819,6 +849,26 @@ def test_cli_gen_regression(tmp_path):
     assert len(lines) == 1 + 30
 
 
+def test_cli_gen_writes_the_first_trial_instance(tmp_path):
+    # two grid points and two trials, with the seed given on the command line:
+    # gen writes the instance of grid point 0, trial 0
+    ini = TINY_REGRESSION_INI.replace("n_grid = 30", "n_grid = 30 40").replace(
+        "trials_per_point = 1", "trials_per_point = 2"
+    )
+    cfg = write_config(tmp_path, "reg.ini", ini)
+    out = tmp_path / "data.csv"
+    assert main(["gen", "--config", cfg, "--seed", "12", "--out", str(out)]) == EXIT_OK
+    spec = ExperimentSpec.from_config(cfg, seed=12)
+    p = {**spec.params, **grid_points(spec.grid)[0]}
+    problem = experiments.build_instance(spec, p, trial_seed(12, 0, 0))
+    expected = tmp_path / "expected.csv"
+    header = ",".join([f"x{j}" for j in range(problem.d)] + ["y"])
+    np.savetxt(expected, np.column_stack([problem.X, problem.y]), fmt="%.17g",
+               delimiter=",", header=header, comments="")
+    assert problem.n == 30
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_cli_gen_matrix(tmp_path):
     cfg = write_config(tmp_path, "mc.ini", TINY_COMPLETION_INI)
     out = tmp_path / "obs.csv"
@@ -1040,11 +1090,6 @@ def test_cli_bug_in_a_trial_is_not_a_config_error(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_cli_phase_requires_phase_scenario(tmp_path):
-    cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
-    assert main(["phase", "--config", cfg]) == EXIT_CONFIG
-
-
 def test_cli_phase_with_one_alpha_fails_its_check(tmp_path, capsys):
     # loading must accept it (a benchmark cuts every grid to one point), but
     # one alpha shows no transition, so the sweep cannot pass
@@ -1057,7 +1102,7 @@ def test_cli_phase_with_one_alpha_fails_its_check(tmp_path, capsys):
         "max_iters = 100\nrel_tol = 1e-4\n",
     )
     out = tmp_path / "phase1.csv"
-    assert main(["phase", "--config", cfg, "--out", str(out)]) == EXIT_ASSERT
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERT
     assert len(parse_csv(out)) == 1
     assert "FAIL phase_alpha_grid: " in capsys.readouterr().out
 

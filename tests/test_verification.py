@@ -579,6 +579,27 @@ def test_certificate_pca_radius_beyond_the_box_is_vacuous():
     assert cert.conditions["radius_bound"]
 
 
+def test_certificate_on_the_box_boundary_fails_before_sampling(monkeypatch):
+    # l_scale 1.0 parks the truth on the box boundary, so no cone sample is
+    # feasible: the certificate must say so before it draws any
+    noise = NoiseSpec("symmetric_mixture", alpha=0.9)
+    prob = make_pca_instance(80, 1, noise, 1.0, seed=3, l_scale=1.0)
+    drawn = []
+    sample = LowRankCone.sample
+
+    def counted(self, rng):
+        drawn.append(1)
+        return sample(self, rng)
+
+    monkeypatch.setattr(LowRankCone, "sample", counted)
+    with pytest.raises(RscSamplingError, match="truth sits on the box boundary"):
+        assemble_certificate(
+            prob, prob.L_star, EstimatorConstants(gamma_scale=2.0),
+            CertificateParams(alpha=0.9, seed=3),
+        )
+    assert drawn == []
+
+
 def test_certificate_fails_when_all_residuals_clip():
     prob = noiseless_regression(200, 8, 2, seed=34)
     shifted = RegressionProblem(

@@ -9,7 +9,10 @@ into a work directory (``--workdir``, by default a temporary one), and
 ``--workload NAME --seed S --seconds N --trace 0``.  Pair k runs the base
 first when k is even and the head first when k is odd, so that a drift of the
 host over the session does not favour one side.  ``--workload`` may repeat;
-each workload runs all its pairs before the next starts.
+each workload runs all its pairs before the next starts.  Each name must be
+a workload of BENCHMARK.json, checked before any revision is exported, so a
+misspelt one is an argparse error (exit 2), not a failure after the earlier
+workloads have run.
 
 The output file holds every run's result line (the last line ``run.py``
 prints), and, per workload and end-to-end metric of BENCHMARK.json, each
@@ -132,16 +135,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision measured as the base")
     parser.add_argument("--head", required=True, help="revision measured as the change")
-    parser.add_argument("--workload", required=True, action="append")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser.add_argument("--workload", required=True, action="append",
+                        choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the revisions are exported (default: a temporary directory)")
     args = parser.parse_args(argv)
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    end_to_end = benchmark["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     if args.workdir is not None:  # mkdtemp needs its parent to exist

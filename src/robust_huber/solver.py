@@ -5,10 +5,11 @@ CompositeProblem carries A as image and adjoint maps (the identity by
 default) and evaluates the loss at the image.  Two routines share the
 SolveResult contract:
 
-* solve_fista: accelerated proximal gradient with backtracking line search and
-  restart on objective increase. For unconstrained problems (sparse
-  regression); it rejects a box.  It carries A x beside x, so an iteration
-  applies A once per candidate and its adjoint once, to two rows.
+* solve_fista: accelerated proximal gradient with a line search whose step
+  can grow as well as shrink, and restart on objective increase. For
+  unconstrained problems (sparse regression); it rejects a box.  It carries
+  A x beside x, so an iteration applies A once per candidate and its adjoint
+  once, to two rows.
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
@@ -19,9 +20,12 @@ Both take their first step, and solve_split its largest, as 1/lipschitz from
 the CompositeProblem: the step belongs to the problem, not to the config.
 
 solve_fista terminates on the prox-gradient fixed-point residual
-||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol; solve_split on
-the same residual divided by its current step, so that rel_tol means the
-same at every step and, at step 1, the same as for a fixed step.  Both are
+||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol at its reference
+step: 1/lipschitz, halved only where the majorization fails on function
+values at a step no larger than it, whatever step the iterations take.
+solve_split stops on the same residual at its current step divided by that
+step, so that rel_tol means the same at every step and, at step 1, the same
+as for a fixed step.  Both are
 fully deterministic: identical inputs and config give bit-identical iterates.
 """
 
@@ -46,7 +50,11 @@ __all__ = [
     "certify_against_reference",
 ]
 
-BACKTRACK_FACTOR = 0.5  # solve_fista's step shrink per failed majorization
+BACKTRACK_FACTOR = 0.5  # solve_fista's step shrink per failed majorization or restart
+STEP_GROWTH = 1.25  # solve_fista's trial step over the last accepted one
+# solve_fista restarts only on an objective rise beyond RESTART_MARGIN times
+# |objective|, a few ulps, so that roundoff alone never resets momentum
+RESTART_MARGIN = 4 * np.finfo(float).eps
 DOMINATION_MARGIN = 1e-6  # objective slack of every domination check
 
 # Residual balancing of the splitting step (Boyd et al., Distributed
@@ -127,7 +135,9 @@ class SolveResult:
     # "tolerance" (the residual met rel_tol), "cap" (max_iters ran out), or
     # "start" (solve_fista's start already met rel_tol; no iteration ran)
     stop_reason: str
-    step: float  # the step in force at the end
+    # the step in force at the end: solve_split's splitting step, solve_fista's
+    # last accepted prox-gradient step (which may exceed 1/lipschitz)
+    step: float
     rejected: int  # Anderson points the safeguard refused (always 0 for solve_fista)
     reference_dominated: Optional[bool] = None
 
@@ -152,33 +162,74 @@ def _max_step(problem) -> float:
     return 1.0 / max(problem.lipschitz, 1e-30)
 
 
-def _backtracked_prox_step(problem, y, fy, gy, step):
+def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step, ref_step):
     """Shrink the step until the quadratic majorization at y holds.
 
+    The majorization f(c) <= f(y) + <grad f(y), c - y> + ||c - y||^2/(2 step)
+    is tested on function values, up to a roundoff allowance.  Where its
+    quadratic term is itself within the allowance, function values cannot
+    tell one step from another (near a solution, a step that grew past the
+    curvature would pass on roundoff alone), so the test is then
+    <grad f(c) - grad f(y), c - y> <= ||c - y||^2/step, taken in the image:
+    the same condition for a quadratic f, and free of cancellation.  For a
+    convex f it implies the test on function values, whose gap f(c) - f(y) -
+    <grad f(y), c - y> is at most its left side.  TFOCS (Becker, Candes &
+    Grant, Math. Prog. Comp. 2011) switches to a gradient test likewise.
+
+    Only a failure on function values at a step no larger than the reference
+    step halves the reference step, until it lies below the failed one, as a
+    search that started from the reference step would have.
+
     Returns the candidate, its image, its smooth value and its loss gradient
-    d (not yet mapped by the adjoint), and the step."""
+    d (not yet mapped by the adjoint), the step and the reference step."""
     while True:
         candidate = problem.prox(y - step * gy, step)
         diff = candidate - y
-        quad = fy + float(np.vdot(gy, diff)) + float(np.vdot(diff, diff)) / (2 * step)
+        half_sq = float(np.vdot(diff, diff)) / (2 * step)
+        quad = fy + float(np.vdot(gy, diff)) + half_sq
         a_cand = problem.image(candidate)
         f_cand, d_cand = problem.smooth_eval(a_cand)
-        if f_cand <= quad + 1e-12 * (1.0 + abs(quad)):
-            return candidate, a_cand, f_cand, d_cand, step
+        gap, allowance = f_cand - quad, 1e-12 * (1.0 + abs(quad))
+        if half_sq > allowance:
+            fits = gap <= allowance
+        else:
+            fits = float(np.vdot(d_cand - d_y, a_cand - a_y)) <= 2 * half_sq
+        if fits:
+            return candidate, a_cand, f_cand, d_cand, step, ref_step
+        if gap > allowance:  # what the test on function values alone would refuse
+            while ref_step >= step:
+                ref_step *= BACKTRACK_FACTOR
         step *= BACKTRACK_FACTOR
         if step < 1e-18:
             raise SolverDiverged("backtracking step underflow")
 
 
 def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
-    """Accelerated proximal gradient with backtracking and monotone restarts.
+    """Accelerated proximal gradient with a growing step and monotone restarts.
 
-    Starts at step 1/lipschitz and halves it while the quadratic
-    majorization fails.  The objective is non-increasing over the iterations
-    up to roundoff: whenever the accelerated step would increase it, momentum
-    is reset and a backtracked proximal gradient step from the current
-    iterate (a guaranteed descent) is taken instead.  Its steps never
+    The first trial step is 1/lipschitz; each later one is STEP_GROWTH times
+    the last accepted step, so the step follows the curvature near the
+    iterates (for a Huber loss, that of the residuals in its quadratic zone)
+    rather than the global bound.  A trial step is multiplied by
+    BACKTRACK_FACTOR while the quadratic majorization fails
+    (_backtracked_prox_step).  The momentum is the rule of Scheinberg,
+    Goldfarb & Bai (Found. Comput. Math. 2014) for a changing step,
+    t+ = (1 + sqrt(1 + 4 theta t^2))/2 with theta = s_prev/s_next, taken with
+    s_next the next trial step: backtracking only shrinks s_next, which keeps
+    the rule's condition, so the extrapolated point is formed once.
+
+    The objective is non-increasing over the iterations up to roundoff:
+    whenever the accelerated step would increase it by more than
+    RESTART_MARGIN times its size, momentum is reset, the step is multiplied
+    by BACKTRACK_FACTOR and a backtracked proximal gradient step from the
+    current iterate (a guaranteed descent) is taken instead.  Its steps never
     project, so a boxed problem raises ValueError: solve_split takes those.
+
+    The stopping residual is taken at the reference step, not at the step
+    taken: 1/lipschitz, halved only where the majorization fails on function
+    values at a step no larger than it.  The residual grows with the step,
+    so this keeps the stop where a solve at that step would test it.
+    SolveResult.step is the last accepted step.
 
     The image A x of the iterate is carried beside it: each candidate costs
     one image call, the extrapolated point's image is the same affine
@@ -204,31 +255,37 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     if residual <= config.rel_tol:
         return SolveResult(x, obj_x, 0, residual, "start", step, 0)
 
-    y, fy, gy = x, fx, gx
+    y, a_y, fy, d_y, gy = x, a_x, fx, d_x, gx
     t_mom = 1.0
+    trial = ref_step = step
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        cand, a_c, f_c, d_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
+        cand, a_c, f_c, d_c, step, ref_step = _backtracked_prox_step(
+            problem, y, a_y, fy, d_y, gy, trial, ref_step)
         obj_c = f_c + problem.reg_value(cand)
-        if obj_c > obj_x:
-            y, fy, gy = x, fx, gx
+        if obj_c > obj_x + RESTART_MARGIN * abs(obj_x):
+            y, a_y, fy, d_y, gy = x, a_x, fx, d_x, gx
             t_mom = 1.0
-            cand, a_c, f_c, d_c, step = _backtracked_prox_step(problem, y, fy, gy, step)
+            cand, a_c, f_c, d_c, step, ref_step = _backtracked_prox_step(
+                problem, y, a_y, fy, d_y, gy, step * BACKTRACK_FACTOR, ref_step)
             obj_c = f_c + problem.reg_value(cand)
         if not np.isfinite(obj_c):
             raise SolverDiverged(f"objective non-finite at iteration {iterations}")
 
         x_prev, a_x_prev = x, a_x
-        x, a_x, fx, obj_x = cand, a_c, f_c, obj_c
+        x, a_x, fx, d_x, obj_x = cand, a_c, f_c, d_c, obj_c
 
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        trial = step * STEP_GROWTH
+        theta = step / trial
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * t_mom * t_mom))
         coef = (t_mom - 1.0) / t_next
         y = x + coef * (x - x_prev)
-        fy, d_y = problem.smooth_eval(a_x + coef * (a_x - a_x_prev))
+        a_y = a_x + coef * (a_x - a_x_prev)
+        fy, d_y = problem.smooth_eval(a_y)
         gx, gy = problem.adjoint(np.stack([d_c, d_y]))
         t_mom = t_next
 
-        residual = _fixed_point_residual(problem, x, gx, step)
+        residual = _fixed_point_residual(problem, x, gx, ref_step)
         if residual <= config.rel_tol:
             break
 

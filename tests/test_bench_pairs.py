@@ -109,9 +109,9 @@ def test_main_writes_both_verdicts_for_every_metric_and_leaves_benchmark_json(
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["--base", "b", "--head", "h", "--workload", "w",
+    assert bench_pairs.main(["--base", "b", "--head", "h", "--workload", "regression",
                              "--seeds", "1-10", "--out", str(out)]) == 0
-    summary = json.loads(out.read_text())["summary"]["w"]
+    summary = json.loads(out.read_text())["summary"]["regression"]
     assert set(summary) == set(names)
     assert summary["wall_s"]["claim_rule_met"] is True  # lower is better
     assert summary["wall_s"]["within_bound"] is True
@@ -136,6 +136,19 @@ def test_main_makes_a_workdir_that_does_not_exist_yet(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "export", fake_export)
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     workdir = tmp_path / "new" / "deeper"
-    assert bench_pairs.main(["--base", "b", "--head", "h", "--workload", "w", "--seeds", "1",
-                             "--out", str(tmp_path / "bench.json"), "--workdir", str(workdir)]) == 0
+    assert bench_pairs.main(["--base", "b", "--head", "h", "--workload", "regression",
+                             "--seeds", "1", "--out", str(tmp_path / "bench.json"),
+                             "--workdir", str(workdir)]) == 0
     assert workdir.is_dir() and all(workdir in dest.parents for dest in exported)
+
+
+def test_main_refuses_a_workload_not_in_benchmark_json_before_exporting(tmp_path, monkeypatch):
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: exported.append(dest))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *a: pytest.fail("ran a benchmark"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--base", "b", "--head", "h", "--workload", "regression",
+                          "--workload", "nosuch", "--seeds", "1", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert exported == [] and not out.exists()

@@ -25,8 +25,8 @@ step: 1/lipschitz, halved only where the majorization fails on function
 values at a step no larger than it, whatever step the iterations take.
 solve_split stops on the same residual at its current step divided by that
 step, so that rel_tol means the same at every step and, at step 1, the same
-as for a fixed step.  Both are
-fully deterministic: identical inputs and config give bit-identical iterates.
+as for a fixed step.  Both are fully deterministic: identical inputs and
+config give bit-identical iterates.
 """
 
 from __future__ import annotations

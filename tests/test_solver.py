@@ -1,6 +1,6 @@
 """Solver tests: closed-form and grid-search oracles, monotonicity,
-feasibility, determinism, the adaptive splitting step, and the
-reference-domination certificate."""
+feasibility, determinism, FISTA's growing step and its stopping residual, the
+adaptive splitting step, and the reference-domination certificate."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -157,10 +157,12 @@ def test_fista_deterministic():
     rng = np.random.default_rng(34)
     X = rng.standard_normal((20, 3))
     y = rng.standard_normal(20)
-    problem = regression_composite(X, y, 2.0, 0.7, np.linalg.norm(X, 2) ** 2)
+    lipschitz = np.linalg.norm(X, 2) ** 2
+    problem = regression_composite(X, y, 2.0, 0.7, lipschitz)
     cfg = SolverConfig(rel_tol=1e-9)
     r1 = solve_fista(problem, cfg, np.zeros(3))
     r2 = solve_fista(problem, cfg, np.zeros(3))
+    assert r1.step == r2.step > 1.0 / lipschitz  # the step grew, the same way twice
     assert r1.iterations == r2.iterations
     assert r1.objective == r2.objective
     assert r1.point.tobytes() == r2.point.tobytes()
@@ -296,20 +298,14 @@ def test_fista_stops_on_the_residual_at_one_over_lipschitz():
     v = composite.prox(x - step * composite.adjoint(d), step)
     residual = np.linalg.norm(x - v) / max(1.0, np.linalg.norm(x))
     assert residual <= 1e-7
+    assert result.residual == pytest.approx(residual, rel=1e-6)  # the residual it stopped on
 
 
 def test_fista_objective_matches_a_tight_reference():
-    composite, result = _regression_solve(1e-7)
+    _, result = _regression_solve(1e-7)
     _, reference = _regression_solve(1e-12)
     assert reference.converged is True
     assert abs(result.objective - reference.objective) <= 1e-12 * abs(reference.objective)
-
-
-def test_fista_growing_step_is_deterministic():
-    _, r1 = _regression_solve(1e-9)
-    _, r2 = _regression_solve(1e-9)
-    assert (r1.iterations, r1.objective, r1.step) == (r2.iterations, r2.objective, r2.step)
-    assert r1.point.tobytes() == r2.point.tobytes()
 
 
 # ---------------------------------------------------------------------------

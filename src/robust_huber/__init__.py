@@ -69,6 +69,7 @@ from .verification import (
     CertificateParams,
     LowRankCone,
     MetaCertificate,
+    ProblemKind,
     RscSamplingError,
     SparseCone,
     assemble_certificate,
@@ -81,6 +82,7 @@ from .verification import (
     gradient_bound_regression,
     measure_contraction,
     measure_gradient_dual_norm,
+    problem_kind,
 )
 from .lowerbound import lb_alpha_of_xi, lb_xi_of_alpha
 from .experiments import (

@@ -12,9 +12,10 @@ and the matrix problem solves
     h = zeta + rho/n,  gamma = gamma_scale * sqrt(n) * (zeta + rho/n).
 
 gamma_scale defaults to 100; experiment configs record the value they use.
-The regression solve's first and reference step is 1/L with L =
-sigma_1(X)^2, taken as the largest eigenvalue of the smaller Gram matrix
-(X^T X, or X X^T for a wide design); FISTA's step grows from there.
+The regression solve's first step, and the step of its stopping test, is
+1/L with L = sigma_1(X)^2, taken as the largest eigenvalue of the smaller
+Gram matrix (X^T X, or X X^T for a wide design); FISTA's step grows from
+there.
 
 Both composites have the form f(x) = loss(A x) of solver.CompositeProblem.
 The regression image is beta -> X beta and its adjoint D -> D X, so that a

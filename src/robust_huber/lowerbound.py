@@ -45,14 +45,13 @@ def phase_trial(
     constants: EstimatorConstants,
     config: SolverConfig,
 ) -> dict:
-    """One draw of the generative model, solved; returns the trial record."""
+    """One draw of the generative model, solved; returns its relative error,
+    the solver's iterations and whether the estimate dominates the truth."""
     problem = phase_instance(n, r, alpha, instance_seed)
     L_hat, result = estimate_pca(problem, constants, config)
     # rho = n * (rho/n) = n here, so error <= eps*rho reads rel_error <= eps
     rel_error = frobenius_error(problem, L_hat) / n
     return {
-        "alpha": alpha,
-        "xi": lb_xi_of_alpha(n, r, alpha),
         "rel_error": rel_error,
         "iterations": result.iterations,
         "dominated": bool(result.reference_dominated),

@@ -20,10 +20,8 @@ Both take their first step, and solve_split its largest, as 1/lipschitz from
 the CompositeProblem: the step belongs to the problem, not to the config.
 
 solve_fista terminates on the prox-gradient fixed-point residual
-||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol at its reference
-step: 1/lipschitz, halved only where the majorization fails on function
-values at a step no larger than it, whatever step the iterations take.
-solve_split stops on the same residual at its current step divided by that
+||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol at step
+1/lipschitz, whatever step the iterations take.  solve_split stops on the same residual at its current step divided by that
 step, so that rel_tol means the same at every step and, at step 1, the same
 as for a fixed step.  Both are fully deterministic: identical inputs and
 config give bit-identical iterates.
@@ -162,7 +160,7 @@ def _max_step(problem) -> float:
     return 1.0 / max(problem.lipschitz, 1e-30)
 
 
-def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step, ref_step):
+def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step):
     """Shrink the step until the quadratic majorization at y holds.
 
     The majorization f(c) <= f(y) + <grad f(y), c - y> + ||c - y||^2/(2 step)
@@ -176,12 +174,8 @@ def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step, ref_step):
     <grad f(y), c - y> is at most its left side.  TFOCS (Becker, Candes &
     Grant, Math. Prog. Comp. 2011) switches to a gradient test likewise.
 
-    Only a failure on function values at a step no larger than the reference
-    step halves the reference step, until it lies below the failed one, as a
-    search that started from the reference step would have.
-
     Returns the candidate, its image, its smooth value and its loss gradient
-    d (not yet mapped by the adjoint), the step and the reference step."""
+    d (not yet mapped by the adjoint), and the step."""
     while True:
         candidate = problem.prox(y - step * gy, step)
         diff = candidate - y
@@ -189,16 +183,13 @@ def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step, ref_step):
         quad = fy + float(np.vdot(gy, diff)) + half_sq
         a_cand = problem.image(candidate)
         f_cand, d_cand = problem.smooth_eval(a_cand)
-        gap, allowance = f_cand - quad, 1e-12 * (1.0 + abs(quad))
+        allowance = 1e-12 * (1.0 + abs(quad))
         if half_sq > allowance:
-            fits = gap <= allowance
+            fits = f_cand - quad <= allowance
         else:
             fits = float(np.vdot(d_cand - d_y, a_cand - a_y)) <= 2 * half_sq
         if fits:
-            return candidate, a_cand, f_cand, d_cand, step, ref_step
-        if gap > allowance:  # what the test on function values alone would refuse
-            while ref_step >= step:
-                ref_step *= BACKTRACK_FACTOR
+            return candidate, a_cand, f_cand, d_cand, step
         step *= BACKTRACK_FACTOR
         if step < 1e-18:
             raise SolverDiverged("backtracking step underflow")
@@ -225,11 +216,10 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     current iterate (a guaranteed descent) is taken instead.  Its steps never
     project, so a boxed problem raises ValueError: solve_split takes those.
 
-    The stopping residual is taken at the reference step, not at the step
-    taken: 1/lipschitz, halved only where the majorization fails on function
-    values at a step no larger than it.  The residual grows with the step,
-    so this keeps the stop where a solve at that step would test it.
-    SolveResult.step is the last accepted step.
+    The stopping residual is taken at 1/lipschitz, not at the step taken.
+    The residual grows with the step, so this keeps the stop where a solve
+    at the fixed step 1/lipschitz would test it.  SolveResult.step is the
+    last accepted step.
 
     The image A x of the iterate is carried beside it: each candidate costs
     one image call, the extrapolated point's image is the same affine
@@ -243,7 +233,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     x = np.array(start, dtype=float, copy=True)
     if x.shape != tuple(problem.shape):
         raise ValueError(f"start has shape {x.shape}, expected {tuple(problem.shape)}")
-    step = _max_step(problem)
+    max_step = step = _max_step(problem)
     a_x = problem.image(x)
     fx, d_x = problem.smooth_eval(a_x)
     gx = problem.adjoint(d_x)
@@ -251,23 +241,23 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     if not np.isfinite(obj_x):
         raise SolverDiverged(f"objective non-finite at start: {obj_x}")
 
-    residual = _fixed_point_residual(problem, x, gx, step)
+    residual = _fixed_point_residual(problem, x, gx, max_step)
     if residual <= config.rel_tol:
         return SolveResult(x, obj_x, 0, residual, "start", step, 0)
 
     y, a_y, fy, d_y, gy = x, a_x, fx, d_x, gx
     t_mom = 1.0
-    trial = ref_step = step
+    trial = step
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        cand, a_c, f_c, d_c, step, ref_step = _backtracked_prox_step(
-            problem, y, a_y, fy, d_y, gy, trial, ref_step)
+        cand, a_c, f_c, d_c, step = _backtracked_prox_step(
+            problem, y, a_y, fy, d_y, gy, trial)
         obj_c = f_c + problem.reg_value(cand)
         if obj_c > obj_x + RESTART_MARGIN * abs(obj_x):
             y, a_y, fy, d_y, gy = x, a_x, fx, d_x, gx
             t_mom = 1.0
-            cand, a_c, f_c, d_c, step, ref_step = _backtracked_prox_step(
-                problem, y, a_y, fy, d_y, gy, step * BACKTRACK_FACTOR, ref_step)
+            cand, a_c, f_c, d_c, step = _backtracked_prox_step(
+                problem, y, a_y, fy, d_y, gy, step * BACKTRACK_FACTOR)
             obj_c = f_c + problem.reg_value(cand)
         if not np.isfinite(obj_c):
             raise SolverDiverged(f"objective non-finite at iteration {iterations}")
@@ -285,7 +275,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         gx, gy = problem.adjoint(np.stack([d_c, d_y]))
         t_mom = t_next
 
-        residual = _fixed_point_residual(problem, x, gx, ref_step)
+        residual = _fixed_point_residual(problem, x, gx, max_step)
         if residual <= config.rel_tol:
             break
 

@@ -8,9 +8,11 @@ the expansion cone at a given radius, and the radius formula R = 4*gamma*s/kappa
 
 The recovery argument is written once, for both problem kinds, on the
 estimator's own objective: the loss, its gradient and the linear image come
-from the estimator's CompositeProblem.  `_kind`, the module's one switch on
-the problem type, adds each kind's truth, cone and s, curvature scale (whose
+from the estimator's CompositeProblem.  `problem_kind`, the module's one
+switch on the problem type, builds that composite once, with the estimator's
+constants, and adds each kind's truth, cone and s, curvature scale (whose
 root normalises the error norm E), dual norm and the matrix problem's box.
+Every stage of a certificate reads that one ProblemKind.
 
 All Monte-Carlo checks draw per-trial generators keyed by (seed, tag, trial),
 so results do not depend on scheduling, and adding trials never flips an
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -48,6 +51,8 @@ __all__ = [
     "measure_gradient_dual_norm",
     "gradient_bound_regression",
     "gradient_bound_pca",
+    "ProblemKind",
+    "problem_kind",
     "estimate_rsc",
     "check_re_property",
     "check_well_spread",
@@ -275,14 +280,10 @@ def measure_contraction(cone, error_metric: Callable, trials: int, seed: int) ->
     return worst
 
 
-def loss_gradient_at_truth(problem, h: Optional[float] = None):
-    """Gradient of the estimator's smooth loss at the true parameter."""
-    return _kind(problem, h).gradient_at_truth()
-
-
-def measure_gradient_dual_norm(problem, h: Optional[float] = None) -> float:
-    """Dual norm (l-inf or spectral) of the loss gradient at the truth."""
-    kind = _kind(problem, h)
+def measure_gradient_dual_norm(problem) -> float:
+    """Dual norm (l-inf or spectral) of the loss gradient at the truth, for the
+    estimator with default constants."""
+    kind = problem_kind(problem)
     return kind.dual_norm(kind.gradient_at_truth())
 
 
@@ -300,14 +301,7 @@ def gradient_bound_pca(h: float, n: int, delta: float) -> float:
     return 10.0 * h * np.sqrt(n + np.log(2.0 / delta))
 
 
-def estimate_rsc(
-    problem,
-    cone,
-    radius: float,
-    trials: int,
-    seed: int,
-    h: Optional[float] = None,
-) -> float:
+def estimate_rsc(kind: ProblemKind, cone, radius: float, trials: int, seed: int) -> float:
     """Lower-curvature ratio on the cone sphere of the given radius.
 
     Samples cone directions u rescaled to E(u) = radius (E is the prediction
@@ -315,7 +309,8 @@ def estimate_rsc(
 
         min_u [F(truth + u) - F(truth) - <grad F(truth), u>] / (radius^2 / 2)
 
-    with F the estimator's smooth loss.
+    with F the smooth loss of kind's composite, read at the truth from
+    kind.loss_at_truth.
 
     This is a one-sided (upper) estimate of the restricted strong convexity
     constant at that radius.  A sampled direction with E(u) = 0 raises
@@ -327,8 +322,7 @@ def estimate_rsc(
         raise ValueError("radius must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    kind = _kind(problem, h)
-    a0, f0, d0 = kind.loss_at_truth()
+    a0, f0, d0 = kind.loss_at_truth
     worst = np.inf
     found = 0
     i = 0
@@ -569,10 +563,10 @@ class _Geometry(NamedTuple):
 
 
 @dataclass(frozen=True)
-class _Kind:
-    """What the recovery argument needs from one problem kind."""
+class ProblemKind:
+    """What the recovery argument needs from one problem kind (problem_kind)."""
 
-    truth: Optional[np.ndarray]
+    truth: np.ndarray | None  # None when the problem carries no truth
     composite: CompositeProblem  # the estimator's objective: its loss, image and adjoint
     info: dict  # the estimator's constants: Huber width "h" and weight "gamma"
     box: Optional[float]  # bound on |truth + u| entrywise (matrix problem, image u)
@@ -584,8 +578,10 @@ class _Kind:
     def scale(self) -> float:  # E(u) = ||image(u)|| / scale: sqrt(n), or 1
         return np.sqrt(self.kappa_scale)
 
+    @cached_property
     def loss_at_truth(self):
-        """(a0, f0, d0): the truth's image, the loss there and its gradient in the image."""
+        """(a0, f0, d0): the truth's image, the loss there and its gradient in
+        the image, evaluated once per kind."""
         if self.truth is None:
             raise ValueError("problem carries no truth")
         a0 = self.composite.image(self.truth)
@@ -593,18 +589,18 @@ class _Kind:
         return a0, f0, d0
 
     def gradient_at_truth(self) -> np.ndarray:
-        return self.composite.adjoint(self.loss_at_truth()[2])
+        """Gradient of the estimator's smooth loss at the truth."""
+        return self.composite.adjoint(self.loss_at_truth[2])
 
     def error(self, u) -> float:
         """The error norm E(u): ||X u|| / sqrt(n), or ||u||_F."""
         return float(np.linalg.norm(self.composite.image(u))) / self.scale
 
 
-def _kind(problem, h=None, constants=None) -> _Kind:
+def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) -> ProblemKind:
     """The ingredients of problem's kind: the module's one switch on it.  The
-    composite is built with constants, or else with Huber width h if given."""
-    if constants is None:
-        constants = EstimatorConstants(huber_h_override=h)
+    composite is the estimator's, built once with constants, which are also
+    the only way to set its Huber width."""
     match problem:
         case RegressionProblem():
             X = problem.X
@@ -617,7 +613,7 @@ def _kind(problem, h=None, constants=None) -> _Kind:
                 return _Geometry(SparseCone(problem.support, problem.d), s, lambda_hat)
 
             composite, info = build_regression_composite(problem, constants)
-            return _Kind(
+            return ProblemKind(
                 truth=problem.beta_star,
                 composite=composite,
                 info=info,
@@ -644,7 +640,7 @@ def _kind(problem, h=None, constants=None) -> _Kind:
                 )
 
             composite, info = build_pca_composite(problem, constants)
-            return _Kind(
+            return ProblemKind(
                 truth=L_star,
                 composite=composite,
                 info=info,
@@ -656,30 +652,31 @@ def _kind(problem, h=None, constants=None) -> _Kind:
     raise TypeError(f"unsupported problem type {type(problem)!r}")
 
 
-def _radius_fixed_point(problem, cone, gamma, s, seed, h, kappa_init, radius_cap):
+def _radius_fixed_point(kind, geometry, gamma, seed):
     """Iterate R -> 4*gamma*s/kappa(R) with geometric damping, R <= radius_cap.
 
-    kappa_init should be the quadratic-regime curvature (n for regression, 1
-    for the matrix problem), so the iteration starts at the smallest plausible
-    radius and grows only if the measured curvature is weaker.  Returns
+    The iteration starts from the quadratic-regime curvature kind.kappa_scale
+    (n for regression, 1 for the matrix problem), so at the smallest plausible
+    radius, and grows only if the measured curvature is weaker.  Returns
     (kappa, kappa_radius, R, consistent): kappa is measured at kappa_radius,
     R is exactly 4*gamma*s/kappa, and consistent means the two radii agree
     within RADIUS_RTOL (the curvature was checked essentially at R).
     """
+    cone, s, radius_cap = geometry.cone, geometry.s, geometry.radius_cap
     quick_trials = max(40, TRIALS_RSC // 4)
-    R_cur = min(4.0 * gamma * s / kappa_init, radius_cap)
+    R_cur = min(4.0 * gamma * s / kind.kappa_scale, radius_cap)
     if not np.isfinite(R_cur) or R_cur <= 0:
         # zero gradient at the truth collapses the radius to zero; an infinite
         # contraction constant makes it unbounded.  Report curvature at a
         # nominal radius instead of iterating.
         nominal = min(1e-3, radius_cap)
-        kappa = estimate_rsc(problem, cone, nominal, TRIALS_RSC, seed, h=h)
+        kappa = estimate_rsc(kind, cone, nominal, TRIALS_RSC, seed)
         if R_cur <= 0 and kappa > 0:
             return kappa, nominal, 0.0, True
         return kappa, nominal, np.inf, False
     kappa = None
     for _ in range(RADIUS_ROUNDS):
-        kappa = estimate_rsc(problem, cone, R_cur, quick_trials, seed, h=h)
+        kappa = estimate_rsc(kind, cone, R_cur, quick_trials, seed)
         if kappa <= 0:
             return kappa, R_cur, np.inf, False
         R_next = min(4.0 * gamma * s / kappa, radius_cap)
@@ -687,7 +684,7 @@ def _radius_fixed_point(problem, cone, gamma, s, seed, h, kappa_init, radius_cap
             R_cur = R_next
             break
         R_cur = float(np.sqrt(R_cur * R_next))
-    kappa = estimate_rsc(problem, cone, R_cur, TRIALS_RSC, seed, h=h)
+    kappa = estimate_rsc(kind, cone, R_cur, TRIALS_RSC, seed)
     if kappa <= 0:
         return kappa, R_cur, np.inf, False
     R = 4.0 * gamma * s / kappa
@@ -712,12 +709,12 @@ def assemble_certificate(
     the box's feasible diameter leaves the curvature condition vacuous
     (rsc_vacuous), and the radius bound then holds without consistency.
     """
-    kind = _kind(problem, constants=constants)
+    kind = problem_kind(problem, constants)
     geo = kind.geometry(params.seed)
     if geo.radius_cap <= 0:
         raise RscSamplingError("truth sits on the box boundary; no feasible cone samples exist")
     cone, s, truth, composite = geo.cone, geo.s, kind.truth, kind.composite
-    h, gamma_est = kind.info["h"], kind.info["gamma"]
+    gamma_est = kind.info["gamma"]
 
     gamma_measured = 2.0 * kind.dual_norm(kind.gradient_at_truth())
     decomp = check_decomposability(
@@ -727,7 +724,7 @@ def assemble_certificate(
         cone, kind.error, TRIALS_CONTRACTION, params.seed
     )
     kappa, kappa_radius, R, consistent = _radius_fixed_point(
-        problem, cone, gamma_measured, s, params.seed, h, kind.kappa_scale, geo.radius_cap
+        kind, geo, gamma_measured, params.seed
     )
     radius_formula_ok = bool(kappa > 0 and np.isfinite(R))
     rsc_vacuous = bool(radius_formula_ok and R > geo.feasible_diameter)
@@ -744,9 +741,10 @@ def assemble_certificate(
     delta_hat = point - truth
     err = kind.error(delta_hat)
 
-    def objective_meas(x):
-        f, _ = composite.smooth_eval(composite.image(x))
-        return f + gamma_measured * cone.reg_norm(x)
+    # the objective with the measured weight, at the estimate and at the truth
+    f_hat = composite.smooth_eval(composite.image(point))[0]
+    meas_hat = f_hat + gamma_measured * cone.reg_norm(point)
+    meas_truth = kind.loss_at_truth[1] + gamma_measured * cone.reg_norm(truth)
 
     return MetaCertificate(
         gamma_measured=gamma_measured,
@@ -765,5 +763,5 @@ def assemble_certificate(
         gamma_est=gamma_est,
         radius_est=4.0 * gamma_est * s / kappa if kappa > 0 else np.inf,
         dominated_est=certify_against_reference(composite, estimate, truth),
-        dominated_meas=bool(objective_meas(point) <= objective_meas(truth) + DOMINATION_MARGIN),
+        dominated_meas=bool(meas_hat <= meas_truth + DOMINATION_MARGIN),
     )

@@ -42,3 +42,23 @@ def test_instrument_wraps_every_target_and_restores_it(monkeypatch):
             assert getattr(owner, attr) is not original, (owner, attr)
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_traced_regression_certificate_counts_its_rsc_samples(monkeypatch):
+    # the RSC hooks read estimate_rsc's trials (its 4th argument) and the cone
+    # samples drawn inside it; a regression cone has no box, so all are feasible
+    layers = load_layers(monkeypatch)
+    from spans import Tracer
+    from robust_huber import experiments
+
+    config = PERFBENCH.parent / "configs" / "accept06_meta_regression.ini"
+    spec = experiments.ExperimentSpec.from_config(config)
+    _, _, p, instance_seed = next(spec.trials())
+    with layers.instrument(Tracer()) as tracer:
+        experiments.run_certificate(spec, p, instance_seed)
+    counts = tracer.counts
+    assert counts["verification.cert"] == 1
+    assert counts["verification.rsc"] > 0
+    assert counts["rsc_feasible"] == counts["rsc_attempted"] > 0
+    # one composite for the solve, one for the certificate
+    assert counts["estimators.build_composite"] == 2

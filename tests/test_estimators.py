@@ -259,8 +259,9 @@ def test_h_override_changes_h_but_not_gamma():
 def test_estimator_constants_validation():
     with pytest.raises(ValueError):
         EstimatorConstants(gamma_scale=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConstants(gamma_scale=1.0, huber_h_override=-2.0)
+    for h in (-2.0, 0.0):
+        with pytest.raises(ValueError):
+            EstimatorConstants(gamma_scale=1.0, huber_h_override=h)
     assert EstimatorConstants().gamma_scale == 100.0
 
 

@@ -81,9 +81,7 @@ def test_xi_of_alpha_rejects_boundary():
 
 def test_phase_trial_record_and_determinism():
     rec = phase_trial(40, 1, 0.25, 12345, PHASE_CONSTANTS, FAST)
-    assert set(rec) == {"alpha", "xi", "rel_error", "iterations", "dominated"}
-    assert rec["alpha"] == 0.25
-    assert rec["xi"] == pytest.approx(lb_xi_of_alpha(40, 1, 0.25))
+    assert set(rec) == {"rel_error", "iterations", "dominated"}
     assert rec["rel_error"] >= 0.0
     assert rec["iterations"] >= 1
     again = phase_trial(40, 1, 0.25, 12345, PHASE_CONSTANTS, FAST)

@@ -288,7 +288,7 @@ def _regression_solve(rel_tol, seed=71):
 
 
 def test_fista_stops_on_the_residual_at_one_over_lipschitz():
-    # the stop is tested at the reference step 1/lipschitz, not at the grown
+    # the stop is tested at 1/lipschitz, always, not at the grown
     # step: recompute that residual from the composite at the returned point
     composite, result = _regression_solve(1e-7)
     assert result.converged and result.step > 1.0 / composite.lipschitz

@@ -31,9 +31,10 @@ from robust_huber import (
     nuclear_norm,
     estimate_pca,
     estimate_sparse_regression,
+    problem_kind,
 )
 from robust_huber.huber import HuberParams, huber_loss_grad
-from robust_huber.verification import CONDITION_NAMES, RADIUS_RTOL, loss_gradient_at_truth
+from robust_huber.verification import CONDITION_NAMES, RADIUS_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +272,11 @@ def test_gradient_clipping_regression():
     # residuals (5, -0.5): the first clips at h, the second stays linear
     X = np.eye(2)
     prob = RegressionProblem(X=X, y=np.array([5.0, -0.5]), beta_star=np.zeros(2))
-    g = loss_gradient_at_truth(prob)
+    g = problem_kind(prob).gradient_at_truth()
     assert np.allclose(g, [-2.0, 0.5])
     assert measure_gradient_dual_norm(prob) == pytest.approx(2.0)
-    assert measure_gradient_dual_norm(prob, h=1.0) == pytest.approx(1.0)
+    narrow = problem_kind(prob, EstimatorConstants(huber_h_override=1.0))
+    assert narrow.dual_norm(narrow.gradient_at_truth()) == pytest.approx(1.0)
 
 
 def test_gradient_dual_norm_pca_is_spectral():
@@ -287,9 +289,9 @@ def test_gradient_dual_norm_pca_is_spectral():
 def test_gradient_requires_truth():
     prob = RegressionProblem(X=np.eye(2), y=np.ones(2))
     with pytest.raises(ValueError):
-        loss_gradient_at_truth(prob)
+        measure_gradient_dual_norm(prob)
     with pytest.raises(TypeError):
-        loss_gradient_at_truth([1, 2, 3])
+        measure_gradient_dual_norm([1, 2, 3])
 
 
 def test_gradient_is_the_reference_formula_bit_for_bit():
@@ -299,18 +301,13 @@ def test_gradient_is_the_reference_formula_bit_for_bit():
     reg = make_regression_instance(300, 12, SignalSpec(2, 3.0), noise, seed=21)
     pca = make_pca_instance(20, 1, noise, 1.0, seed=22, l_scale=0.5)
     for h in (None, 0.5):
+        constants = EstimatorConstants(huber_h_override=h)
         hp = HuberParams(h or reg.default_huber_h)
         expected = -(reg.X.T @ huber_loss_grad(reg.y - reg.X @ reg.beta_star, hp))
-        assert loss_gradient_at_truth(reg, h=h).tobytes() == expected.tobytes()
+        assert problem_kind(reg, constants).gradient_at_truth().tobytes() == expected.tobytes()
         hp = HuberParams(h or pca.default_huber_h)
         expected = -huber_loss_grad(pca.Y - pca.L_star, hp)
-        assert loss_gradient_at_truth(pca, h=h).tobytes() == expected.tobytes()
-
-
-def test_gradient_rejects_a_zero_huber_width():
-    prob = RegressionProblem(X=np.eye(2), y=np.ones(2), beta_star=np.zeros(2))
-    with pytest.raises(ValueError):
-        measure_gradient_dual_norm(prob, h=0)
+        assert problem_kind(pca, constants).gradient_at_truth().tobytes() == expected.tobytes()
 
 
 def test_gradient_bound_formulas():
@@ -346,7 +343,7 @@ def test_rsc_quadratic_regime_regression():
     # branch, where the curvature ratio is exactly n
     prob = noiseless_regression(100, 8, 2, seed=8)
     cone = SparseCone(prob.support, prob.d)
-    kappa = estimate_rsc(prob, cone, radius=1e-3, trials=60, seed=9)
+    kappa = estimate_rsc(problem_kind(prob), cone, radius=1e-3, trials=60, seed=9)
     assert kappa == pytest.approx(prob.n, rel=1e-9)
 
 
@@ -357,7 +354,7 @@ def test_rsc_quadratic_regime_pca():
     L = 0.5 * np.outer(u, v)  # strictly inside the unit box
     prob = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L, r=1)
     cone = LowRankCone.from_truth(L, r=1)
-    kappa = estimate_rsc(prob, cone, radius=1e-3, trials=60, seed=11)
+    kappa = estimate_rsc(problem_kind(prob), cone, radius=1e-3, trials=60, seed=11)
     assert kappa == pytest.approx(1.0, rel=1e-9)
 
 
@@ -365,7 +362,7 @@ def test_rsc_nonnegative_under_noise():
     noise = NoiseSpec("symmetric_mixture", alpha=0.7)
     prob = make_regression_instance(200, 10, SignalSpec(2, 3.0), noise, seed=12)
     cone = SparseCone(prob.support, prob.d)
-    kappa = estimate_rsc(prob, cone, radius=0.5, trials=100, seed=13)
+    kappa = estimate_rsc(problem_kind(prob), cone, radius=0.5, trials=100, seed=13)
     assert kappa >= -1e-9
 
 
@@ -381,7 +378,7 @@ def test_rsc_zero_curvature_when_all_residuals_clip():
         k=prob.k,
     )
     cone = SparseCone(prob.support, prob.d)
-    kappa = estimate_rsc(shifted, cone, radius=1.0, trials=50, seed=15)
+    kappa = estimate_rsc(problem_kind(shifted), cone, radius=1.0, trials=50, seed=15)
     assert abs(kappa) <= 1e-6
 
 
@@ -393,7 +390,7 @@ def test_rsc_sampling_error_beyond_feasible_diameter():
     prob = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L, r=1)
     cone = LowRankCone.from_truth(L, r=1)
     with pytest.raises(RscSamplingError):
-        estimate_rsc(prob, cone, radius=20.0, trials=5, seed=16)
+        estimate_rsc(problem_kind(prob), cone, radius=20.0, trials=5, seed=16)
 
 
 def test_rsc_zero_prediction_norm_raises():
@@ -406,18 +403,18 @@ def test_rsc_zero_prediction_norm_raises():
     )
     cone = SparseCone(np.array([0]), 4)
     with pytest.raises(RscSamplingError):
-        estimate_rsc(prob, cone, radius=1.0, trials=5, seed=17)
+        estimate_rsc(problem_kind(prob), cone, radius=1.0, trials=5, seed=17)
 
 
 def test_rsc_validation():
     prob = noiseless_regression(20, 4, 1, seed=18)
     cone = SparseCone(prob.support, prob.d)
     with pytest.raises(ValueError):
-        estimate_rsc(prob, cone, radius=0.0, trials=10, seed=0)
+        estimate_rsc(problem_kind(prob), cone, radius=0.0, trials=10, seed=0)
     with pytest.raises(ValueError):
-        estimate_rsc(prob, cone, radius=1.0, trials=0, seed=0)
+        estimate_rsc(problem_kind(prob), cone, radius=1.0, trials=0, seed=0)
     with pytest.raises(TypeError):
-        estimate_rsc("not a problem", cone, radius=1.0, trials=1, seed=0)
+        problem_kind("not a problem")
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +554,33 @@ def test_certificate_pca_in_regime():
     assert cert.error_lt_radius
     assert cert.lambda_hat is None
     assert cert.s == pytest.approx(4.0 * np.sqrt(2.0))
+
+
+def test_certificate_builds_the_estimator_objective_once_per_kind(monkeypatch):
+    # every stage (gradient bound, each RSC round, the measured-weight
+    # domination check) reads the one ProblemKind that assemble_certificate makes
+    import robust_huber.verification as verification
+
+    noise = NoiseSpec("symmetric_mixture", alpha=0.9)
+    reg = make_regression_instance(400, 8, SignalSpec(2, 3.0), noise, seed=5)
+    pca = make_pca_instance(20, 1, noise, 1.0, seed=6, l_scale=0.5)
+    calls = {"build_regression_composite": 0, "build_pca_composite": 0, "estimate_rsc": 0}
+    for name in calls:
+        original = getattr(verification, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verification, name, counted)
+    constants = EstimatorConstants(gamma_scale=5.0)
+    for prob, truth, build in ((reg, reg.beta_star, "build_regression_composite"),
+                               (pca, pca.L_star, "build_pca_composite")):
+        before = dict(calls)
+        assemble_certificate(prob, truth, constants, CertificateParams(alpha=0.9, seed=1))
+        assert calls[build] - before[build] == 1
+        assert sum(calls[k] - before[k] for k in calls if k.startswith("build")) == 1
+        assert calls["estimate_rsc"] - before["estimate_rsc"] >= 2
 
 
 def test_certificate_pca_radius_beyond_the_box_is_vacuous():

@@ -21,10 +21,11 @@ the CompositeProblem: the step belongs to the problem, not to the config.
 
 solve_fista terminates on the prox-gradient fixed-point residual
 ||x - prox(x - step*grad f(x))|| / max(1, ||x||) <= rel_tol at step
-1/lipschitz, whatever step the iterations take.  solve_split stops on the same residual at its current step divided by that
-step, so that rel_tol means the same at every step and, at step 1, the same
-as for a fixed step.  Both are fully deterministic: identical inputs and
-config give bit-identical iterates.
+1/lipschitz, whatever step the iterations take.  solve_split stops on the
+same residual at its current step divided by that step, so that rel_tol
+means the same at every step and, at step 1, the same as for a fixed step.
+Both are fully deterministic: identical inputs and config give bit-identical
+iterates.
 """
 
 from __future__ import annotations

@@ -581,7 +581,8 @@ class ProblemKind:
     @cached_property
     def loss_at_truth(self):
         """(a0, f0, d0): the truth's image, the loss there and its gradient in
-        the image, evaluated once per kind."""
+        the image, evaluated once per kind.  Every stage shares these arrays,
+        so none may write to them."""
         if self.truth is None:
             raise ValueError("problem carries no truth")
         a0 = self.composite.image(self.truth)
@@ -589,7 +590,8 @@ class ProblemKind:
         return a0, f0, d0
 
     def gradient_at_truth(self) -> np.ndarray:
-        """Gradient of the estimator's smooth loss at the truth."""
+        """Gradient of the estimator's smooth loss at the truth; with the
+        identity adjoint (matrix problem) it is loss_at_truth's d0 itself."""
         return self.composite.adjoint(self.loss_at_truth[2])
 
     def error(self, u) -> float:

@@ -33,6 +33,7 @@ from robust_huber import (
     estimate_sparse_regression,
     problem_kind,
 )
+from robust_huber import verification
 from robust_huber.huber import HuberParams, huber_loss_grad
 from robust_huber.verification import CONDITION_NAMES, RADIUS_RTOL
 
@@ -559,8 +560,6 @@ def test_certificate_pca_in_regime():
 def test_certificate_builds_the_estimator_objective_once_per_kind(monkeypatch):
     # every stage (gradient bound, each RSC round, the measured-weight
     # domination check) reads the one ProblemKind that assemble_certificate makes
-    import robust_huber.verification as verification
-
     noise = NoiseSpec("symmetric_mixture", alpha=0.9)
     reg = make_regression_instance(400, 8, SignalSpec(2, 3.0), noise, seed=5)
     pca = make_pca_instance(20, 1, noise, 1.0, seed=6, l_scale=0.5)

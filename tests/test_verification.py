@@ -311,6 +311,16 @@ def test_gradient_is_the_reference_formula_bit_for_bit():
         assert problem_kind(pca, constants).gradient_at_truth().tobytes() == expected.tobytes()
 
 
+def test_gradient_rejects_a_zero_huber_width():
+    # the width reaches the gradient only through the estimator's constants;
+    # a zero width is refused there, and by the Huber parameters themselves
+    prob = RegressionProblem(X=np.eye(2), y=np.ones(2), beta_star=np.zeros(2))
+    with pytest.raises(ValueError):
+        problem_kind(prob, EstimatorConstants(huber_h_override=0)).gradient_at_truth()
+    with pytest.raises(ValueError):
+        huber_loss_grad(np.ones(2), HuberParams(0.0))
+
+
 def test_gradient_bound_formulas():
     nu, n, d, delta = 1.7, 400, 50, 0.05
     expect = 20.0 * np.sqrt(nu * n * (np.log(d) + np.log(2.0 / delta)))

@@ -234,9 +234,13 @@ def estimate_sparse_regression(
     problem: RegressionProblem,
     constants: EstimatorConstants = EstimatorConstants(),
     config: SolverConfig = SolverConfig(),
+    composite: Optional[CompositeProblem] = None,
 ) -> tuple[np.ndarray, SolveResult]:
-    """Solve the l1-penalized Huber regression from the zero start."""
-    composite, _ = build_regression_composite(problem, constants)
+    """Solve the l1-penalized Huber regression from the zero start.  composite
+    is the objective build_regression_composite(problem, constants) returns,
+    passed when the caller has built it already; it is built here otherwise."""
+    if composite is None:
+        composite, _ = build_regression_composite(problem, constants)
     result = solve_fista(composite, config, np.zeros(problem.d))
     if problem.beta_star is not None:
         result.reference_dominated = certify_against_reference(
@@ -249,8 +253,11 @@ def estimate_pca(
     problem: PcaProblem,
     constants: EstimatorConstants = EstimatorConstants(),
     config: SolverConfig = SolverConfig(),
+    composite: Optional[CompositeProblem] = None,
 ) -> tuple[np.ndarray, SolveResult]:
-    """Solve the box-constrained nuclear-penalized Huber problem.
+    """Solve the box-constrained nuclear-penalized Huber problem.  composite is
+    the objective build_pca_composite(problem, constants) returns, passed when
+    the caller has built it already; it is built here otherwise.
 
     Starts from the box projection of Y.  The splitting step starts at, and
     never exceeds, 1/lipschitz = 1 (the Huber loss of Y - L has a 1-Lipschitz
@@ -258,7 +265,8 @@ def estimate_pca(
     splitting with a safeguarded Anderson step, stops on a residual
     normalised by the step and returns its last feasible iterate.
     """
-    composite, _ = build_pca_composite(problem, constants)
+    if composite is None:
+        composite, _ = build_pca_composite(problem, constants)
     start = project_maxnorm(problem.Y, composite.constraint)
     result = solve_split(composite, config, start)
     if problem.L_star is not None:

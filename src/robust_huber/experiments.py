@@ -58,6 +58,7 @@ from .verification import (
     CertificateParams,
     RscSamplingError,
     assemble_certificate,
+    problem_kind,
 )
 
 __all__ = [
@@ -313,29 +314,34 @@ def build_instance(spec: ExperimentSpec, p: dict, instance_seed: int):
     return row.family_for(p).build(p, instance_seed)
 
 
-def _solve(spec: ExperimentSpec, problem):
+def _solve(spec: ExperimentSpec, problem, composite=None):
     """Solve one instance with its kind's estimator: (estimate, SolveResult,
-    error metrics against the truth).  The estimators are called through this
-    module's globals, solver config third, so a wrapper set on those module
-    attributes sees every solve and its config."""
+    error metrics against the truth).  composite is the estimator's objective
+    when the caller has built it (run_certificate).  The estimators are called
+    through this module's globals, solver config third, so a wrapper set on
+    those module attributes sees every solve and its config."""
     if isinstance(problem, RegressionProblem):
-        estimate, result = estimate_sparse_regression(problem, spec.constants, spec.solver)
+        estimate, result = estimate_sparse_regression(
+            problem, spec.constants, spec.solver, composite=composite)
         metrics = {
             "prediction_error_sq": prediction_error(problem, estimate),
             "parameter_error_sq": parameter_error(problem, estimate),
         }
     else:
-        estimate, result = estimate_pca(problem, spec.constants, spec.solver)
+        estimate, result = estimate_pca(problem, spec.constants, spec.solver,
+                                        composite=composite)
         metrics = {"frobenius_error": frobenius_error(problem, estimate)}
     return estimate, result, metrics
 
 
 def run_certificate(spec: ExperimentSpec, p: dict, instance_seed: int):
-    """Solve one instance and assemble its certificate."""
+    """Solve one instance and assemble its certificate, both on the one
+    objective that problem_kind builds."""
     problem = build_instance(spec, p, instance_seed)
-    estimate, result, _ = _solve(spec, problem)
+    kind = problem_kind(problem, spec.constants)
+    estimate, result, _ = _solve(spec, problem, kind.composite)
     cert_params = CertificateParams(alpha=p["alpha"], seed=instance_seed)
-    cert = assemble_certificate(problem, estimate, spec.constants, cert_params)
+    cert = assemble_certificate(kind, estimate, cert_params)
     return problem, estimate, result, cert
 
 

@@ -49,7 +49,7 @@ __all__ = [
     "certify_against_reference",
 ]
 
-BACKTRACK_FACTOR = 0.5  # solve_fista's step shrink per failed majorization or restart
+BACKTRACK_FACTOR = 0.5  # solve_fista's step shrink per failed majorization
 STEP_GROWTH = 1.25  # solve_fista's trial step over the last accepted one
 # solve_fista restarts only on an objective rise beyond RESTART_MARGIN times
 # |objective|, a few ulps, so that roundoff alone never resets momentum
@@ -161,6 +161,16 @@ def _max_step(problem) -> float:
     return 1.0 / max(problem.lipschitz, 1e-30)
 
 
+def _majorized(f_cand, quad, half_sq, a_cand, d_cand, a_y, d_y) -> bool:
+    """The majorization test of _backtracked_prox_step at a candidate c: quad
+    is the quadratic model at y evaluated at c, half_sq = ||c - y||^2/(2 step),
+    and a, d are the images and loss gradients at c and y."""
+    allowance = 1e-12 * (1.0 + abs(quad))
+    if half_sq > allowance:
+        return f_cand - quad <= allowance
+    return float(np.vdot(d_cand - d_y, a_cand - a_y)) <= 2 * half_sq
+
+
 def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step):
     """Shrink the step until the quadratic majorization at y holds.
 
@@ -173,7 +183,9 @@ def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step):
     the same condition for a quadratic f, and free of cancellation.  For a
     convex f it implies the test on function values, whose gap f(c) - f(y) -
     <grad f(y), c - y> is at most its left side.  TFOCS (Becker, Candes &
-    Grant, Math. Prog. Comp. 2011) switches to a gradient test likewise.
+    Grant, Math. Prog. Comp. 2011) switches to a gradient test likewise.  The
+    test is _majorized; its gradient form is what refuses the grown steps on
+    which solve_fista stalls when a restart keeps the step in force.
 
     Returns the candidate, its image, its smooth value and its loss gradient
     d (not yet mapped by the adjoint), and the step."""
@@ -184,12 +196,7 @@ def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step):
         quad = fy + float(np.vdot(gy, diff)) + half_sq
         a_cand = problem.image(candidate)
         f_cand, d_cand = problem.smooth_eval(a_cand)
-        allowance = 1e-12 * (1.0 + abs(quad))
-        if half_sq > allowance:
-            fits = f_cand - quad <= allowance
-        else:
-            fits = float(np.vdot(d_cand - d_y, a_cand - a_y)) <= 2 * half_sq
-        if fits:
+        if _majorized(f_cand, quad, half_sq, a_cand, d_cand, a_y, d_y):
             return candidate, a_cand, f_cand, d_cand, step
         step *= BACKTRACK_FACTOR
         if step < 1e-18:
@@ -212,10 +219,12 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
 
     The objective is non-increasing over the iterations up to roundoff:
     whenever the accelerated step would increase it by more than
-    RESTART_MARGIN times its size, momentum is reset, the step is multiplied
-    by BACKTRACK_FACTOR and a backtracked proximal gradient step from the
-    current iterate (a guaranteed descent) is taken instead.  Its steps never
-    project, so a boxed problem raises ValueError: solve_split takes those.
+    RESTART_MARGIN times its size, momentum is reset and a backtracked
+    proximal gradient step from the current iterate (a guaranteed descent) is
+    taken instead.  Its first trial is the step in force, the one just
+    accepted at the extrapolated point; backtracking shrinks it only where the
+    majorization fails at the current iterate.  Its steps never project, so a
+    boxed problem raises ValueError: solve_split takes those.
 
     The stopping residual is taken at 1/lipschitz, not at the step taken.
     The residual grows with the step, so this keeps the stop where a solve
@@ -258,7 +267,7 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
             y, a_y, fy, d_y, gy = x, a_x, fx, d_x, gx
             t_mom = 1.0
             cand, a_c, f_c, d_c, step = _backtracked_prox_step(
-                problem, y, a_y, fy, d_y, gy, step * BACKTRACK_FACTOR)
+                problem, y, a_y, fy, d_y, gy, step)
             obj_c = f_c + problem.reg_value(cand)
         if not np.isfinite(obj_c):
             raise SolverDiverged(f"objective non-finite at iteration {iterations}")

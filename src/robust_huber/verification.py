@@ -12,7 +12,8 @@ from the estimator's CompositeProblem.  `problem_kind`, the module's one
 switch on the problem type, builds that composite once, with the estimator's
 constants, and adds each kind's truth, cone and s, curvature scale (whose
 root normalises the error norm E), dual norm and the matrix problem's box.
-Every stage of a certificate reads that one ProblemKind.
+assemble_certificate takes that ProblemKind, and every stage of a
+certificate reads it; experiments.run_certificate also solves its composite.
 
 All Monte-Carlo checks draw per-trial generators keyed by (seed, tag, trial),
 so results do not depend on scheduling, and adding trials never flips an
@@ -695,12 +696,13 @@ def _radius_fixed_point(kind, geometry, gamma, seed):
 
 
 def assemble_certificate(
-    problem,
+    kind: ProblemKind,
     estimate,
-    constants: EstimatorConstants,
     params: CertificateParams,
 ) -> MetaCertificate:
-    """Measure every condition of the recovery bound on one solved instance.
+    """Measure every condition of the recovery bound on one solved instance,
+    given its ProblemKind (problem_kind(problem, constants), built with the
+    estimator's constants; the estimate may be a solve of kind.composite).
 
     gamma_measured is twice the dual norm of the loss gradient at the truth;
     R = 4*gamma_measured*s/kappa with all quantities measured.  The
@@ -711,7 +713,6 @@ def assemble_certificate(
     the box's feasible diameter leaves the curvature condition vacuous
     (rsc_vacuous), and the radius bound then holds without consistency.
     """
-    kind = problem_kind(problem, constants)
     geo = kind.geometry(params.seed)
     if geo.radius_cap <= 0:
         raise RscSamplingError("truth sits on the box boundary; no feasible cone samples exist")

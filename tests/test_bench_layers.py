@@ -60,5 +60,5 @@ def test_traced_regression_certificate_counts_its_rsc_samples(monkeypatch):
     assert counts["verification.cert"] == 1
     assert counts["verification.rsc"] > 0
     assert counts["rsc_feasible"] == counts["rsc_attempted"] > 0
-    # one composite for the solve, one for the certificate
-    assert counts["estimators.build_composite"] == 2
+    # one composite, problem_kind's, for both the solve and the certificate
+    assert counts["estimators.build_composite"] == 1

@@ -246,6 +246,28 @@ def test_regression_lipschitz_of_zero_design():
         assert lipschitz == 0.0
 
 
+def test_estimators_solve_a_given_composite_as_they_would_build_it():
+    # run_certificate solves the composite that problem_kind built; the
+    # estimate must be the bits the estimator gets by building its own
+    noise = NoiseSpec("symmetric_mixture", 0.5)
+    rng = np.random.default_rng(58)
+    X = rng.standard_normal((60, 8))
+    beta = np.zeros(8)
+    beta[:2] = 2.0
+    reg = RegressionProblem(X=X, y=X @ beta + rng.standard_normal(60), beta_star=beta)
+    pca = make_pca_instance(12, 1, noise, 1.0, seed=58, l_scale=0.5)
+    constants = EstimatorConstants(gamma_scale=2.0)
+    config = SolverConfig(rel_tol=1e-6)
+    for problem, estimate, build in ((reg, estimate_sparse_regression, build_regression_composite),
+                                     (pca, estimate_pca, build_pca_composite)):
+        composite, _ = build(problem, constants)
+        built, built_result = estimate(problem, constants, config)
+        given, given_result = estimate(problem, constants, config, composite=composite)
+        np.testing.assert_array_equal(given, built)
+        assert given_result.iterations == built_result.iterations
+        assert given_result.reference_dominated == built_result.reference_dominated
+
+
 def test_h_override_changes_h_but_not_gamma():
     pp = PcaProblem(Y=np.zeros((30, 30)), rho_over_n=0.5, zeta=1.5)
     base_info = build_pca_composite(pp, EstimatorConstants(gamma_scale=2.0))[1]

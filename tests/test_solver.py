@@ -308,6 +308,58 @@ def test_fista_objective_matches_a_tight_reference():
     assert abs(result.objective - reference.objective) <= 1e-12 * abs(reference.objective)
 
 
+def _demo_gaussian_design_case(n, trial):
+    spec = ExperimentSpec.from_config(CONFIG_DIR / "demo_gaussian_design.ini")
+    p, seed = next((p, seed) for _, t, p, seed in spec.trials() if p["n"] == n and t == trial)
+    composite, _ = build_regression_composite(build_instance(spec, p, seed), spec.constants)
+    return composite, spec.solver, np.zeros(composite.shape)
+
+
+def test_fista_gradient_form_majorization_prevents_the_stall(monkeypatch):
+    # near a solution the quadratic term of the majorization is within
+    # roundoff, so function values pass a step grown past the curvature; the
+    # gradient form refuses it.  With function values only, this solve took
+    # 494 iterations, against 16 with the gradient form.
+    composite, config, start = _demo_gaussian_design_case(1000, 0)
+    real = solve_fista(composite, config, start)
+    assert real.converged and real.iterations <= 25
+
+    def values_only(f_cand, quad, half_sq, *_):
+        return f_cand - quad <= 1e-12 * (1.0 + abs(quad))
+
+    monkeypatch.setattr(solver, "_majorized", values_only)
+    stalled = solve_fista(composite, config, start)
+    assert stalled.iterations >= 5 * real.iterations
+
+
+def test_fista_restart_keeps_the_step_in_force(monkeypatch):
+    # every call of _backtracked_prox_step gets its trial step from the step
+    # the call before it accepted: STEP_GROWTH times it at an iteration's
+    # first trial, and the step itself at a restart (an iteration's second
+    # call), not a shrunk one
+    problem, constants = _regression_instance()
+    composite, _ = build_regression_composite(problem, constants)
+    backtracked = solver._backtracked_prox_step
+    trials, accepted = [], []
+
+    def recording(problem, y, a_y, fy, d_y, gy, step):
+        trials.append(step)
+        out = backtracked(problem, y, a_y, fy, d_y, gy, step)
+        accepted.append(out[-1])
+        return out
+
+    monkeypatch.setattr(solver, "_backtracked_prox_step", recording)
+    result = solve_fista(composite, SolverConfig(rel_tol=1e-9), np.zeros(problem.d))
+    assert result.converged
+    restarts = len(trials) - result.iterations
+    assert restarts > 0
+    assert trials[0] == 1.0 / composite.lipschitz
+    kept = [i for i in range(1, len(trials)) if trials[i] == accepted[i - 1]]
+    grown = [i for i in range(1, len(trials)) if trials[i] == accepted[i - 1] * solver.STEP_GROWTH]
+    assert len(kept) == restarts
+    assert len(kept) + len(grown) == len(trials) - 1
+
+
 # ---------------------------------------------------------------------------
 # solve_split
 

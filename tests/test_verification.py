@@ -536,7 +536,7 @@ def test_certificate_regression_in_regime():
         prob, constants, SolverConfig(max_iters=20000, rel_tol=1e-7)
     )
     cert = assemble_certificate(
-        prob, beta_hat, constants, CertificateParams(alpha=0.9, seed=1)
+        problem_kind(prob, constants), beta_hat, CertificateParams(alpha=0.9, seed=1)
     )
     assert isinstance(cert, MetaCertificate)
     assert set(cert.conditions) == set(CONDITION_NAMES)
@@ -555,7 +555,7 @@ def test_certificate_pca_in_regime():
     constants = EstimatorConstants(gamma_scale=2.0)
     L_hat, _ = estimate_pca(prob, constants, SolverConfig(max_iters=1500, rel_tol=1e-5))
     cert = assemble_certificate(
-        prob, L_hat, constants, CertificateParams(alpha=0.9, seed=2)
+        problem_kind(prob, constants), L_hat, CertificateParams(alpha=0.9, seed=2)
     )
     assert set(cert.conditions) == set(CONDITION_NAMES)
     assert cert.conditions["decomposability"]
@@ -569,7 +569,7 @@ def test_certificate_pca_in_regime():
 
 def test_certificate_builds_the_estimator_objective_once_per_kind(monkeypatch):
     # every stage (gradient bound, each RSC round, the measured-weight
-    # domination check) reads the one ProblemKind that assemble_certificate makes
+    # domination check) reads the one ProblemKind it is given, and builds none
     noise = NoiseSpec("symmetric_mixture", alpha=0.9)
     reg = make_regression_instance(400, 8, SignalSpec(2, 3.0), noise, seed=5)
     pca = make_pca_instance(20, 1, noise, 1.0, seed=6, l_scale=0.5)
@@ -586,7 +586,9 @@ def test_certificate_builds_the_estimator_objective_once_per_kind(monkeypatch):
     for prob, truth, build in ((reg, reg.beta_star, "build_regression_composite"),
                                (pca, pca.L_star, "build_pca_composite")):
         before = dict(calls)
-        assemble_certificate(prob, truth, constants, CertificateParams(alpha=0.9, seed=1))
+        assemble_certificate(
+            problem_kind(prob, constants), truth, CertificateParams(alpha=0.9, seed=1)
+        )
         assert calls[build] - before[build] == 1
         assert sum(calls[k] - before[k] for k in calls if k.startswith("build")) == 1
         assert calls["estimate_rsc"] - before["estimate_rsc"] >= 2
@@ -602,7 +604,7 @@ def test_certificate_pca_radius_beyond_the_box_is_vacuous():
     constants = EstimatorConstants(gamma_scale=2.0)
     L_hat, _ = estimate_pca(prob, constants, SolverConfig(max_iters=1500, rel_tol=1e-5))
     cert = assemble_certificate(
-        prob, L_hat, constants, CertificateParams(alpha=0.2, seed=1)
+        problem_kind(prob, constants), L_hat, CertificateParams(alpha=0.2, seed=1)
     )
     feasible_diameter = np.linalg.norm(prob.rho_over_n + np.abs(prob.L_star))
     assert cert.radius_formula_ok
@@ -627,7 +629,8 @@ def test_certificate_on_the_box_boundary_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(LowRankCone, "sample", counted)
     with pytest.raises(RscSamplingError, match="truth sits on the box boundary"):
         assemble_certificate(
-            prob, prob.L_star, EstimatorConstants(gamma_scale=2.0),
+            problem_kind(prob, EstimatorConstants(gamma_scale=2.0)),
+            prob.L_star,
             CertificateParams(alpha=0.9, seed=3),
         )
     assert drawn == []
@@ -643,9 +646,8 @@ def test_certificate_fails_when_all_residuals_clip():
         k=prob.k,
     )
     cert = assemble_certificate(
-        shifted,
+        problem_kind(shifted, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
-        EstimatorConstants(gamma_scale=5.0),
         CertificateParams(alpha=0.9, seed=3),
     )
     assert not cert.conditions["restricted_convexity"]
@@ -659,9 +661,8 @@ def test_certificate_zero_gradient_collapses_radius():
     # is exactly zero and the strict error < R comparison cannot hold
     prob = noiseless_regression(300, 6, 2, seed=36)
     cert = assemble_certificate(
-        prob,
+        problem_kind(prob, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
-        EstimatorConstants(gamma_scale=5.0),
         CertificateParams(alpha=0.9, seed=5),
     )
     assert cert.gamma_measured == 0.0
@@ -676,20 +677,19 @@ def test_certificate_requires_truth():
     prob = RegressionProblem(X=np.eye(4), y=np.ones(4))
     with pytest.raises(ValueError):
         assemble_certificate(
-            prob, np.zeros(4), EstimatorConstants(), CertificateParams(alpha=0.5)
+            problem_kind(prob, EstimatorConstants()), np.zeros(4), CertificateParams(alpha=0.5)
         )
     with pytest.raises(TypeError):
         assemble_certificate(
-            "nope", np.zeros(4), EstimatorConstants(), CertificateParams(alpha=0.5)
+            problem_kind("nope", EstimatorConstants()), np.zeros(4), CertificateParams(alpha=0.5)
         )
 
 
 def test_certificate_report_format():
     prob = noiseless_regression(300, 6, 2, seed=35)
     cert = assemble_certificate(
-        prob,
+        problem_kind(prob, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
-        EstimatorConstants(gamma_scale=5.0),
         CertificateParams(alpha=0.9, seed=4),
     )
     report = cert.to_report()
@@ -722,7 +722,9 @@ def test_certificate_report_key_order():
         ]),
     ]
     for prob, truth, constants, measured in cases:
-        cert = assemble_certificate(prob, truth, constants, CertificateParams(alpha=0.9, seed=4))
+        cert = assemble_certificate(
+            problem_kind(prob, constants), truth, CertificateParams(alpha=0.9, seed=4)
+        )
         pairs = [ln.split(" = ") for ln in cert.to_report().splitlines()]
         assert [key for key, _ in pairs] == conditions + measured + flags
         assert {value for key, value in pairs if key in conditions + flags} <= {"0", "1"}

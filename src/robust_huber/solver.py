@@ -5,11 +5,12 @@ CompositeProblem carries A as image and adjoint maps (the identity by
 default) and evaluates the loss at the image.  Two routines share the
 SolveResult contract:
 
-* solve_fista: accelerated proximal gradient with a line search whose step
-  can grow as well as shrink, and restart on objective increase. For
-  unconstrained problems (sparse regression); it rejects a box.  It carries
-  A x beside x, so an iteration applies A once per candidate and its adjoint
-  once, to two rows.
+* solve_fista: accelerated proximal gradient with a line search whose trial
+  step is the larger of a grown last step and a damped Barzilai-Borwein step
+  of the gradients it already holds, and that restarts on objective increase
+  and on the gradient test. For unconstrained problems (sparse regression);
+  it rejects a box.  It carries A x beside x, so an iteration applies A once
+  per candidate and its adjoint once, to two rows.
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
@@ -50,7 +51,9 @@ __all__ = [
 ]
 
 BACKTRACK_FACTOR = 0.5  # solve_fista's step shrink per failed majorization
-STEP_GROWTH = 1.25  # solve_fista's trial step over the last accepted one
+# solve_fista's trial step is at least STEP_GROWTH times the last accepted
+# one, and at least the Barzilai-Borwein step over STEP_GROWTH
+STEP_GROWTH = 1.25
 # solve_fista restarts only on an objective rise beyond RESTART_MARGIN times
 # |objective|, a few ulps, so that roundoff alone never resets momentum
 RESTART_MARGIN = 4 * np.finfo(float).eps
@@ -203,19 +206,45 @@ def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step):
             raise SolverDiverged("backtracking step underflow")
 
 
-def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
-    """Accelerated proximal gradient with a growing step and monotone restarts.
+def _trial_step(step, dx, dg) -> float:
+    """The next trial step after an accepted step, given the moves dx of the
+    iterate and dg of the gradient over that iteration: the larger of
+    STEP_GROWTH * step and s_bb / STEP_GROWTH, with s_bb = <dx, dg>/<dg, dg>
+    the Barzilai-Borwein step of the gradients already held, or STEP_GROWTH *
+    step alone when <dx, dg> <= 0 or dg = 0 (no curvature along dx)."""
+    grown = STEP_GROWTH * step
+    curvature, dg_dg = float(np.vdot(dx, dg)), float(np.vdot(dg, dg))
+    if not (curvature > 0 and dg_dg > 0):
+        return grown
+    return max(grown, curvature / dg_dg / STEP_GROWTH)
 
-    The first trial step is 1/lipschitz; each later one is STEP_GROWTH times
-    the last accepted step, so the step follows the curvature near the
+
+def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> SolveResult:
+    """Accelerated proximal gradient with a spectral trial step and restarts.
+
+    The first trial step is 1/lipschitz.  Each later one is _trial_step of
+    the last accepted step and of the moves dx of the iterate and dg of its
+    gradient over the last iteration: the larger of STEP_GROWTH times the
+    accepted step and s_bb / STEP_GROWTH, where s_bb = <dx, dg>/<dg, dg> is
+    the Barzilai-Borwein step (Wright, Nowak & Figueiredo, SpaRSA, IEEE TSP
+    2009).  The gradient at the new iterate is computed anyway for the
+    stopping residual, so s_bb costs two vector differences and two dot
+    products, and no pass over A.  The step so follows the curvature near the
     iterates (for a Huber loss, that of the residuals in its quadratic zone)
-    rather than the global bound.  A trial step is multiplied by
+    rather than the global bound, and can jump to it rather than grow by
+    STEP_GROWTH per iteration.  A trial step is multiplied by
     BACKTRACK_FACTOR while the quadratic majorization fails
-    (_backtracked_prox_step).  The momentum is the rule of Scheinberg,
-    Goldfarb & Bai (Found. Comput. Math. 2014) for a changing step,
-    t+ = (1 + sqrt(1 + 4 theta t^2))/2 with theta = s_prev/s_next, taken with
-    s_next the next trial step: backtracking only shrinks s_next, which keeps
-    the rule's condition, so the extrapolated point is formed once.
+    (_backtracked_prox_step), so every accepted step passes the same test
+    whatever its trial.
+
+    The momentum is the rule of Scheinberg, Goldfarb & Bai (Found. Comput.
+    Math. 2014) for a changing step, t+ = (1 + sqrt(1 + 4 theta t^2))/2 with
+    theta = s_prev/s_next.  theta is taken as 1/STEP_GROWTH, the ratio for a
+    trial that only grows: the extrapolated point must be formed before the
+    one adjoint call that gives both the gradient at the new iterate, from
+    which s_bb is read, and the gradient at the extrapolated point.  Where
+    s_bb sets a larger trial, the momentum is the grown step's; the two
+    restarts below catch an extrapolation that overshoots.
 
     The objective is non-increasing over the iterations up to roundoff:
     whenever the accelerated step would increase it by more than
@@ -223,8 +252,13 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     proximal gradient step from the current iterate (a guaranteed descent) is
     taken instead.  Its first trial is the step in force, the one just
     accepted at the extrapolated point; backtracking shrinks it only where the
-    majorization fails at the current iterate.  Its steps never project, so a
-    boxed problem raises ValueError: solve_split takes those.
+    majorization fails at the current iterate.  The momentum is also reset,
+    with no second step, when the accepted step from the extrapolated point y
+    to x+ points against the last move: <y - x+, x+ - x> > 0, the gradient
+    restart of O'Donoghue & Candes (Found. Comput. Math. 2015), since
+    (y - x+)/step is the prox-gradient at y.  The next extrapolated point is
+    then x+ itself.  No step projects, so a boxed problem raises ValueError:
+    solve_split takes those.
 
     The stopping residual is taken at 1/lipschitz, not at the step taken.
     The residual grows with the step, so this keeps the stop where a solve
@@ -272,18 +306,22 @@ def solve_fista(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         if not np.isfinite(obj_c):
             raise SolverDiverged(f"objective non-finite at iteration {iterations}")
 
-        x_prev, a_x_prev = x, a_x
+        if float(np.vdot(y - cand, cand - x)) > 0:
+            t_mom = 1.0  # the gradient restart
+
+        x_prev, a_x_prev, gx_prev = x, a_x, gx
         x, a_x, fx, d_x, obj_x = cand, a_c, f_c, d_c, obj_c
 
-        trial = step * STEP_GROWTH
-        theta = step / trial
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * t_mom * t_mom))
+        # theta = 1/STEP_GROWTH: the trial is known only after the adjoint call
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom / STEP_GROWTH))
         coef = (t_mom - 1.0) / t_next
-        y = x + coef * (x - x_prev)
+        dx = x - x_prev
+        y = x + coef * dx
         a_y = a_x + coef * (a_x - a_x_prev)
         fy, d_y = problem.smooth_eval(a_y)
         gx, gy = problem.adjoint(np.stack([d_c, d_y]))
         t_mom = t_next
+        trial = _trial_step(step, dx, gx - gx_prev)
 
         residual = _fixed_point_residual(problem, x, gx, max_step)
         if residual <= config.rel_tol:

@@ -58,7 +58,9 @@ from .datagen import (
     gen_matrix_completion_scenario,
     gen_oblivious_noise_vector,
     gen_sparse_signal,
+    lb_alpha_of_xi,
     lb_noise_params,
+    lb_xi_of_alpha,
     make_gaussian_design_instance,
     make_pca_instance,
     make_regression_instance,
@@ -84,7 +86,6 @@ from .verification import (
     measure_gradient_dual_norm,
     problem_kind,
 )
-from .lowerbound import lb_alpha_of_xi, lb_xi_of_alpha
 from .experiments import (
     SCENARIOS,
     ExperimentSpec,

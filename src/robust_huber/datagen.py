@@ -35,12 +35,10 @@ __all__ = [
     "trial_seed",
 ]
 
-NOISE_FAMILIES = (
-    "symmetric_mixture",
-    "gaussian",
-    "deterministic_sparse_outliers",
-    "lb_geometric_even",
-)
+# the entrywise laws gen_oblivious_noise_vector draws; lb_geometric_even is a
+# law of the whole n x n noise matrix, which only make_pca_instance draws
+VECTOR_NOISE_FAMILIES = ("symmetric_mixture", "gaussian", "deterministic_sparse_outliers")
+NOISE_FAMILIES = (*VECTOR_NOISE_FAMILIES, "lb_geometric_even")
 
 # stream tags keep the draw order of one generator independent of the others
 _DESIGN, _SIGNAL, _NOISE, _LOWRANK, _MASK = 11, 13, 17, 19, 23

@@ -34,6 +34,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .datagen import (
+    NOISE_FAMILIES,
+    VECTOR_NOISE_FAMILIES,
     NoiseSpec,
     SignalSpec,
     gen_matrix_completion_scenario,
@@ -109,8 +111,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
+        if not self.grid:
             raise ValueError("grid must be non-empty")
+        for key, values in self.grid.items():
+            # a repeated value would run two trials under one CSV label
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{key}_grid must list distinct values, got {values}")
         # checked, not converted: int() would run 1.5 trials as 1 and seed 2.9 as 2
         for key, low in (("trials_per_point", 1), ("seed", 0)):
             value = getattr(self, key)
@@ -153,10 +159,9 @@ class ExperimentSpec:
         solver_keys = {f.name for f in fields(SolverConfig)}
         for key, raw in parser.items(scenario):
             if key.endswith("_grid"):
-                values = [_parse_scalar(tok) for tok in raw.replace(",", " ").split()]
-                if not values:
-                    raise ValueError(f"empty grid for {key}")
-                grid[key[: -len("_grid")]] = values
+                grid[key[: -len("_grid")]] = [
+                    _parse_scalar(tok) for tok in raw.replace(",", " ").split()
+                ]
             elif key in ("trials_per_point", "seed"):
                 shape[key] = _parse_scalar(raw)
             elif key in const_keys:
@@ -288,15 +293,19 @@ def _defaults(keys) -> dict:
 
 @dataclass(frozen=True)
 class Family:
-    """One kind of problem instance: its builder and the keys the builder reads."""
+    """One kind of problem instance: its builder, the keys the builder reads
+    and the noise_family names it can draw, if it reads that key."""
 
     build: Callable[[dict, int], object]
     reads: frozenset
+    noise_families: tuple = ()
 
 
 _NOISE_KEYS = frozenset({"noise_family", "alpha", "zeta", "outlier_scale"})  # read by _noise
-_REGRESSION = Family(_build_regression, _NOISE_KEYS | {"n", "d", "k", "magnitude"})
-_PCA = Family(_build_pca, _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"})
+_REGRESSION = Family(
+    _build_regression, _NOISE_KEYS | {"n", "d", "k", "magnitude"}, VECTOR_NOISE_FAMILIES
+)
+_PCA = Family(_build_pca, _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"}, NOISE_FAMILIES)
 # meta_certificate solves whichever of these its `family` parameter names
 FAMILIES = {"regression": _REGRESSION, "pca": _PCA}
 
@@ -351,9 +360,10 @@ def _solve_metrics(spec, p, instance_seed):
 
 
 def _phase_metrics(spec, p, instance_seed):
-    rec = phase_trial(p["n"], p["r"], p["alpha"], instance_seed, spec.constants, spec.solver)
-    flags = {"success": rec["rel_error"] <= p["epsilon"], "dominated": rec["dominated"]}
-    return {"rel_error": rec["rel_error"]}, rec["iterations"], flags
+    problem = build_instance(spec, p, instance_seed)
+    rel_error, result = phase_trial(problem, spec.constants, spec.solver)
+    flags = {"success": rel_error <= p["epsilon"], "dominated": result.reference_dominated}
+    return {"rel_error": rel_error}, result.iterations, flags
 
 
 def _certificate_metrics(spec, p, instance_seed):
@@ -561,19 +571,16 @@ def parse_csv(path) -> list[ResultRow]:
     return rows
 
 
-def _gnuplot_script(rows: Sequence[ResultRow], csv_path) -> Optional[str]:
-    if not rows or rows[0].scenario not in SCENARIOS:
-        return None
-    scenario = rows[0].scenario
-    x_field, y_field, loglog = SCENARIOS[scenario].plot
+def _gnuplot_script(spec: ExperimentSpec, rows: Sequence[ResultRow], csv_path) -> Optional[str]:
+    x_field, y_field, loglog = SCENARIOS[spec.scenario].plot
     header = _csv_header(*_schema(rows))
     if x_field not in header or y_field not in header:
-        return None
+        return None  # an axis without a CSV column: fixed, or every trial failed
     ix = header.index(x_field) + 1
     iy = header.index(y_field) + 1
     lines = [
         "set datafile separator ','",
-        f"set title '{scenario}'",
+        f"set title '{spec.scenario}'",
         f"set xlabel '{x_field}'",
         f"set ylabel '{y_field}'",
     ]
@@ -586,24 +593,20 @@ def _gnuplot_script(rows: Sequence[ResultRow], csv_path) -> Optional[str]:
 
 
 def emit_report(
-    rows: Sequence[ResultRow],
-    path,
-    csv_path=None,
-    spec: Optional[ExperimentSpec] = None,
+    rows: Sequence[ResultRow], path, csv_path, spec: ExperimentSpec
 ) -> list[tuple[str, bool, str]]:
-    """Plain-text summary with per-point medians, slopes, and pass/fail lines.
+    """Plain-text summary with per-point medians, slopes, and pass/fail lines,
+    and beside it a gnuplot script of the CSV at csv_path.
 
-    Returns the assertion triples so callers can set exit codes; writes a
-    companion gnuplot script next to the report when csv_path is given.
+    Returns the assertion triples so callers can set exit codes.
     """
     rows = sorted(rows, key=_row_sort_key)
-    checks = scenario_assertions(spec, rows) if spec is not None else []
-    lines = []
-    scenario = spec.scenario if spec is not None else (rows[0].scenario if rows else "?")
-    lines.append(f"scenario: {scenario}")
-    lines.append(f"rows: {len(rows)} ({sum(1 for r in rows if r.error)} with errors)")
-    total_wall = sum(r.wall_ms for r in rows)
-    lines.append(f"total solve time: {total_wall / 1000.0:.2f} s")
+    checks = scenario_assertions(spec, rows)
+    lines = [
+        f"scenario: {spec.scenario}",
+        f"rows: {len(rows)} ({sum(1 for r in rows if r.error)} with errors)",
+        f"total solve time: {sum(r.wall_ms for r in rows) / 1000.0:.2f} s",
+    ]
     point_keys, metric_keys, _ = _schema(rows)
     for x_field in point_keys:
         if len({row.point.get(x_field) for row in rows}) < 2:
@@ -629,10 +632,9 @@ def emit_report(
     try:
         with open(path, "w") as fh:
             fh.write(text)
-        if csv_path is not None:
-            script = _gnuplot_script(rows, csv_path)
-            if script is not None:
-                Path(path).with_suffix(".gnuplot").write_text(script)
+        script = _gnuplot_script(spec, rows, csv_path)
+        if script is not None:
+            Path(path).with_suffix(".gnuplot").write_text(script)
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
     return checks
@@ -688,7 +690,6 @@ def _phase_checks(p, rows):
         ("phase_low_alpha", lo <= 0.5, f"success {lo:.3f} <= 0.5"),
         ("phase_high_alpha", hi >= 0.9, f"success {hi:.3f} >= 0.9"),
     ]
-    monotone = True
     worst = ""
     for a, b in zip(alphas, alphas[1:]):
         (pa, ta), (pb, tb) = fracs[a], fracs[b]
@@ -698,40 +699,31 @@ def _phase_checks(p, rows):
         sb = np.sqrt((pb * (1 - pb) + 1.0 / (tb + 2)) / tb)
         slack = 2.0 * np.hypot(sa, sb)
         if pb < pa - slack:
-            monotone = False
             worst = f"drop {pa:.3f} -> {pb:.3f} at alpha {a:.4g} -> {b:.4g} exceeds 2 sigma {slack:.3f}"
-    out.append(("phase_monotone", monotone, worst or "within 2 sigma"))
+    out.append(("phase_monotone", not worst, worst or "within 2 sigma"))
     return out
 
 
 def _meta_checks(p, rows):
-    all_flags = all(
-        all(r.flags.get(c, False) for c in CONDITION_NAMES) for r in rows
-    ) and len(rows) > 0
-    cone = all(r.flags.get("cone_membership", False) for r in rows) and rows
-    err_lt = all(r.flags.get("error_lt_radius", False) for r in rows) and rows
-    violation = [
-        r
+    def holds(r, *names):
+        return all(r.flags.get(name, False) for name in names)
+
+    def every(*names):
+        return bool(rows) and all(holds(r, *names) for r in rows)
+
+    violation = any(
+        holds(r, *CONDITION_NAMES, "dominated") and not holds(r, "error_lt_radius")
         for r in rows
-        if all(r.flags.get(c, False) for c in CONDITION_NAMES)
-        and r.flags.get("dominated", False)
-        and not r.flags.get("error_lt_radius", False)
-    ]
+    )
+    vacuous = sum(holds(r, "rsc_vacuous") for r in rows)
     return [
         # a vacuous instance passes radius_bound only because R exceeds the box
-        (
-            "conditions_all_instances",
-            all_flags,
-            f"{len(rows)} instances, "
-            f"{sum(bool(r.flags.get('rsc_vacuous', False)) for r in rows)} vacuous",
-        ),
-        ("cone_membership", bool(cone), "estimate error in expansion cone"),
-        ("error_lt_radius", bool(err_lt), "E(estimate - truth) < R"),
-        (
-            "implication_holds",
-            not violation,
-            "no instance with all flags true but error >= radius",
-        ),
+        ("conditions_all_instances", every(*CONDITION_NAMES),
+         f"{len(rows)} instances, {vacuous} vacuous"),
+        ("cone_membership", every("cone_membership"), "estimate error in expansion cone"),
+        ("error_lt_radius", every("error_lt_radius"), "E(estimate - truth) < R"),
+        ("implication_holds", not violation,
+         "no instance with all flags true but error >= radius"),
     ]
 
 
@@ -809,6 +801,7 @@ class Scenario:
         if swept:
             raise ValueError(f"[{scenario}] {swept} must be fixed, not swept")
         allowed = self.reads_for(params)
+        noise_families = self.family_for(params).noise_families
         required = {key for key in allowed if PARAMS[key].default is None}
         keys = set(grid) | set(params)
         unknown = sorted(keys - allowed)
@@ -826,6 +819,9 @@ class Scenario:
                     raise ValueError(
                         f"[{scenario}] {key} must be {_TYPE_NAMES[kind]}, got {value!r}"
                     )
+                if key == "noise_family" and value not in noise_families:
+                    raise ValueError(f"[{scenario}] noise_family must be one of "
+                                     f"{sorted(noise_families)}, got {value!r}")
 
 
 SCENARIOS: dict[str, Scenario] = {

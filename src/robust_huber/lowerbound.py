@@ -9,23 +9,19 @@ one algorithm, not all of them.  The impossibility statement itself lives at
 xi <= 1/2; larger xi values are still a valid noise law (up to
 xi*sqrt(r) = sqrt(n)) and are what the recovery side of the phase diagram uses.
 
-The maps between a and xi live in datagen, beside the noise law, and are
-re-exported here.  The sweep over alpha runs through the experiment runner as
-the `lowerbound_phase` scenario, whose trials call `phase_trial`.
+The maps between a and xi (lb_alpha_of_xi, lb_xi_of_alpha) live in datagen,
+beside the noise law.  The sweep over alpha runs through the experiment runner
+as the `lowerbound_phase` scenario: its table row builds each trial's instance
+with `phase_instance`, and `phase_trial` solves that instance.
 """
 
 from __future__ import annotations
 
-from .datagen import NoiseSpec, lb_alpha_of_xi, lb_xi_of_alpha, make_pca_instance
+from .datagen import NoiseSpec, make_pca_instance
 from .estimators import EstimatorConstants, PcaProblem, estimate_pca, frobenius_error
-from .solver import SolverConfig
+from .solver import SolveResult, SolverConfig
 
-__all__ = [
-    "lb_alpha_of_xi",
-    "lb_xi_of_alpha",
-    "phase_instance",
-    "phase_trial",
-]
+__all__ = ["phase_instance", "phase_trial"]
 
 PHASE_ZETA = 1.0  # the construction normalizes 0 <= zeta <= rho/n = 1
 PHASE_RHO_OVER_N = 1.0
@@ -38,21 +34,10 @@ def phase_instance(n: int, r: int, alpha: float, instance_seed: int) -> PcaProbl
 
 
 def phase_trial(
-    n: int,
-    r: int,
-    alpha: float,
-    instance_seed: int,
-    constants: EstimatorConstants,
-    config: SolverConfig,
-) -> dict:
-    """One draw of the generative model, solved; returns its relative error,
-    the solver's iterations and whether the estimate dominates the truth."""
-    problem = phase_instance(n, r, alpha, instance_seed)
+    problem: PcaProblem, constants: EstimatorConstants, config: SolverConfig
+) -> tuple[float, SolveResult]:
+    """Solve one draw of the generative model: its relative error, and the
+    solver's result."""
     L_hat, result = estimate_pca(problem, constants, config)
     # rho = n * (rho/n) = n here, so error <= eps*rho reads rel_error <= eps
-    rel_error = frobenius_error(problem, L_hat) / n
-    return {
-        "rel_error": rel_error,
-        "iterations": result.iterations,
-        "dominated": bool(result.reference_dominated),
-    }
+    return frobenius_error(problem, L_hat) / problem.n, result

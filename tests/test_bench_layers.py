@@ -62,3 +62,21 @@ def test_traced_regression_certificate_counts_its_rsc_samples(monkeypatch):
     assert counts["rsc_feasible"] == counts["rsc_attempted"] > 0
     # one composite, problem_kind's, for both the solve and the certificate
     assert counts["estimators.build_composite"] == 1
+
+
+def test_traced_phase_trials_count_one_span_of_each_layer_per_trial(monkeypatch):
+    # the table's builder draws each phase instance (through lowerbound's
+    # make_pca_instance) and phase_trial solves it (through lowerbound's estimate_pca)
+    layers = load_layers(monkeypatch)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent))
+    from spans import Tracer
+    from test_lowerbound import phase_spec
+    from robust_huber import experiments
+
+    spec = phase_spec()
+    with layers.instrument(Tracer()) as tracer:
+        rows = experiments.run_experiment(spec)
+    assert len(rows) == 4 and not any(row.error for row in rows)
+    for name in ("datagen.build", "estimators.estimate", "lowerbound.phase_trial",
+                 "solver", "estimators.build_composite"):
+        assert tracer.counts[name] == 4, name

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from robust_huber import EstimatorConstants, SolverConfig
-from robust_huber.datagen import trial_seed
+from robust_huber.datagen import VECTOR_NOISE_FAMILIES, trial_seed
 from robust_huber.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from robust_huber import experiments
 from robust_huber.experiments import (
     ExperimentSpec,
     ResultRow,
+    build_instance,
     emit_csv,
     emit_report,
     fit_loglog_slope,
@@ -81,11 +82,29 @@ def test_spec_validation():
         tiny_regression_spec(grid={})
     with pytest.raises(ValueError):
         tiny_regression_spec(grid={"n": []})
+    # equal values would run two trials under one CSV label
+    for values in ([30, 30], [30, 40, 30.0]):
+        with pytest.raises(ValueError, match="n_grid must list distinct values"):
+            tiny_regression_spec(grid={"n": values})
     with pytest.raises(ValueError):
         tiny_regression_spec(trials_per_point=0)
     # nothing reads a confidence level delta, so it is an unknown key
     with pytest.raises(ValueError, match="delta"):
         tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 0.8, "delta": 0.05})
+
+
+def test_noise_family_names_follow_the_instance_family():
+    spec = tiny_regression_spec(
+        scenario="pca_n_sweep", grid={"n": [20]},
+        params={"r": 1, "alpha": 0.9, "noise_family": "lb_geometric_even"},
+    )
+    assert build_instance(spec, next(spec.trials())[2], 1).Y.shape == (20, 20)
+    for name in VECTOR_NOISE_FAMILIES:
+        tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 0.8, "noise_family": name})
+    # lb_geometric_even is a law of the whole noise matrix: no regression draws it
+    for name in ("lb_geometric_even", "gausian"):
+        with pytest.raises(ValueError, match=f"noise_family must be one of .*'{name}'"):
+            tiny_regression_spec(params={"d": 8, "k": 2, "alpha": 0.8, "noise_family": name})
 
 
 def test_result_row_validation():
@@ -802,17 +821,13 @@ def test_gnuplot_columns_are_the_plot_axes_of_the_csv(tmp_path, rows):
     csv_path = tmp_path / "rows.csv"
     emit_csv(rows, csv_path)
     header = csv_path.read_text().splitlines()[0].split(",")
-    script = experiments._gnuplot_script(rows, csv_path)
+    spec = {"regression_n_sweep": regression_n_spec, "meta_certificate": meta_spec}[
+        rows[0].scenario
+    ]()
+    script = experiments._gnuplot_script(spec, rows, csv_path)
     ix, iy = map(int, re.search(r"using (\d+):(\d+)", script).groups())
-    x_field, y_field, _ = experiments.SCENARIOS[rows[0].scenario].plot
+    x_field, y_field, _ = experiments.SCENARIOS[spec.scenario].plot
     assert (header[ix - 1], header[iy - 1]) == (x_field, y_field)
-
-
-def test_emit_report_without_spec_has_no_checks(tmp_path):
-    rows = rows_from("pca_n_sweep", "n", [(50, 1.0), (100, 2.0)], "frobenius_error")
-    checks = emit_report(rows, tmp_path / "r.txt")
-    assert checks == []
-    assert not (tmp_path / "r.gnuplot").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1052,14 @@ def test_cli_verify_without_alpha(tmp_path):
             "n = 50\nd = 8\nk = 2\nalpha = 0.9\n",
             "bogus",
         ),
+        ("misspelt_noise_family", TINY_REGRESSION_INI + "noise_family = gausian\n",
+         "noise_family must be one of"),
+        ("swept_misspelt_noise_family",
+         TINY_REGRESSION_INI + "noise_family_grid = gaussian gausian\n", "'gausian'"),
+        ("matrix_noise_in_regression",
+         TINY_REGRESSION_INI + "noise_family = lb_geometric_even\n", "'lb_geometric_even'"),
+        ("repeated_grid_value", TINY_REGRESSION_INI.replace("n_grid = 30", "n_grid = 30 30"),
+         "n_grid must list distinct values"),
     ],
 )
 def test_cli_sweep_rejects_bad_config_at_load(tmp_path, capsys, name, ini, message):

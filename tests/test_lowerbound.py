@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import robust_huber
 from robust_huber import EstimatorConstants, SolverConfig
-from robust_huber.datagen import trial_seed
+from robust_huber.datagen import lb_alpha_of_xi, lb_xi_of_alpha, trial_seed
 from robust_huber.experiments import (
     ExperimentSpec,
     ResultRow,
@@ -12,12 +13,7 @@ from robust_huber.experiments import (
     run_experiment,
     scenario_assertions,
 )
-from robust_huber.lowerbound import (
-    lb_alpha_of_xi,
-    lb_xi_of_alpha,
-    phase_instance,
-    phase_trial,
-)
+from robust_huber.lowerbound import phase_instance, phase_trial
 
 FAST = SolverConfig(max_iters=150, rel_tol=1e-4)
 PHASE_CONSTANTS = EstimatorConstants(gamma_scale=2.0, huber_h_override=3.0)
@@ -80,13 +76,22 @@ def test_xi_of_alpha_rejects_boundary():
 
 
 def test_phase_trial_record_and_determinism():
-    rec = phase_trial(40, 1, 0.25, 12345, PHASE_CONSTANTS, FAST)
-    assert set(rec) == {"rel_error", "iterations", "dominated"}
-    assert rec["rel_error"] >= 0.0
-    assert rec["iterations"] >= 1
-    again = phase_trial(40, 1, 0.25, 12345, PHASE_CONSTANTS, FAST)
-    assert again["rel_error"] == rec["rel_error"]
-    assert again["iterations"] == rec["iterations"]
+    problem = phase_instance(40, 1, 0.25, 12345)
+    rel_error, result = phase_trial(problem, PHASE_CONSTANTS, FAST)
+    assert rel_error >= 0.0
+    assert result.iterations >= 1
+    assert result.reference_dominated is not None
+    again, again_result = phase_trial(phase_instance(40, 1, 0.25, 12345), PHASE_CONSTANTS, FAST)
+    assert again == rel_error
+    assert again_result.iterations == result.iterations
+
+
+def test_lowerbound_keeps_no_copy_of_the_xi_maps():
+    from robust_huber import datagen, lowerbound
+
+    for name in ("lb_alpha_of_xi", "lb_xi_of_alpha"):
+        assert not hasattr(lowerbound, name)
+        assert getattr(robust_huber, name) is getattr(datagen, name)
 
 
 def test_phase_row_builds_the_trial_instance():
@@ -107,10 +112,12 @@ def test_phase_sweep_through_runner():
         assert not row.error
         assert row.metrics["rel_error"] >= 0.0
         assert row.flags["success"] == (row.metrics["rel_error"] <= 0.5)
-    # trial t at grid point i solves the instance phase_trial draws from its seed
-    rec = phase_trial(40, 1, 0.25, trial_seed(7, 1, 1), PHASE_CONSTANTS, FAST)
-    assert rows[3].metrics["rel_error"] == rec["rel_error"]
-    assert rows[3].iterations == rec["iterations"]
+    # trial t at grid point i solves the instance its table row builds from its seed
+    spec = phase_spec()
+    problem = build_instance(spec, {**spec.params, "alpha": 0.25}, trial_seed(7, 1, 1))
+    rel_error, result = phase_trial(problem, PHASE_CONSTANTS, FAST)
+    assert rows[3].metrics["rel_error"] == rel_error
+    assert rows[3].iterations == result.iterations
 
 
 def test_phase_success_fraction_arithmetic():

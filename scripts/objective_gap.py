@@ -42,7 +42,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from robust_huber import RegressionProblem, SolverConfig  # noqa: E402
-from robust_huber.experiments import ExperimentSpec, _solve, build_instance  # noqa: E402
+from robust_huber.experiments import ExperimentSpec, build_instance, solve_instance  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_TOL = {"fista": 1e-12, "split": 1e-9}
@@ -68,8 +68,8 @@ def audit(path: Path) -> dict:
         problem = build_instance(spec, p, seed)
         kind = "fista" if isinstance(problem, RegressionProblem) else "split"
         reference = SolverConfig(REFERENCE_MAX_ITERS[kind], REFERENCE_TOL[kind])
-        _, stop, errors = _solve(spec, problem)
-        _, ref, ref_errors = _solve(dataclasses.replace(spec, solver=reference), problem)
+        stop, errors = solve_instance(spec, problem)
+        ref, ref_errors = solve_instance(dataclasses.replace(spec, solver=reference), problem)
         gaps.append((stop.objective - ref.objective) / abs(ref.objective))
         iters += stop.iterations
         ref_iters += ref.iterations

@@ -43,23 +43,20 @@ OUTPUTS = ("*.csv", "*.report")  # the files compared between the revisions
 RUNNER = """
 import dataclasses, sys, traceback
 from pathlib import Path
-from robust_huber.datagen import trial_seed
-from robust_huber.experiments import (
-    ExperimentSpec, emit_csv, grid_points, run_certificate, run_experiment,
-)
+from robust_huber.experiments import ExperimentSpec, emit_csv, run_certificate, run_experiment
 
 out, seed = Path(sys.argv[1]), int(sys.argv[2])
 for path in sorted(Path("configs").glob("*.ini")):
     try:
         spec = ExperimentSpec.from_config(path, seed=seed)
-        first = grid_points(spec.grid)[0]
+        first, _, p, instance_seed = next(spec.trials())
         spec = dataclasses.replace(
             spec, grid={k: [v] for k, v in first.items()}, trials_per_point=1
         )
         emit_csv(run_experiment(spec), out / (path.stem + ".csv"))
         if spec.scenario == "meta_certificate":
-            p = {**spec.params, **first}
-            cert = run_certificate(spec, p, trial_seed(spec.seed, 0, 0))[3]
+            # [-1]: the certificate, last in run_certificate's return at every revision
+            cert = run_certificate(spec, p, instance_seed)[-1]
             (out / (path.stem + ".report")).write_text(cert.to_report())
     except Exception:
         print(f"{path.name} failed:", file=sys.stderr)

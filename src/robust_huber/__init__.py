@@ -93,7 +93,6 @@ from .experiments import (
     emit_csv,
     emit_report,
     fit_loglog_slope,
-    parse_csv,
     run_experiment,
     scenario_assertions,
 )

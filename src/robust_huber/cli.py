@@ -17,12 +17,12 @@ from .estimators import RegressionProblem
 from .experiments import (
     NUMERIC_ERRORS,
     ExperimentSpec,
-    _solve,
     build_instance,
     emit_csv,
     emit_report,
     run_certificate,
     run_experiment,
+    run_trial,
 )
 
 EXIT_OK, EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
@@ -64,25 +64,24 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec, p, instance_seed = _first_trial(args)
-    problem = build_instance(spec, p, instance_seed)
-    estimate, result, metrics = _solve(spec, problem)
+    result, metrics, flags = run_trial(*_first_trial(args))
     print(f"objective = {result.objective:.17g}")
     print(f"iterations = {result.iterations}")
     print(f"converged = {int(result.converged)}")
     print(f"stop_reason = {result.stop_reason}")
     print(f"rejected = {result.rejected}")
     for name, value in metrics.items():
-        print(f"{name} = {value:.17g}")
-    print(f"dominated = {int(bool(result.reference_dominated))}")
+        print(f"{name} = {float(value):.17g}")
+    for name, value in flags.items():
+        print(f"{name} = {int(bool(value))}")
     if args.out:
-        _write_matrix(args.out, estimate, "c")
+        _write_matrix(args.out, result.point, "c")
         print(f"wrote estimate to {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _, _, _, cert = run_certificate(*_first_trial(args))
+    _, cert = run_certificate(*_first_trial(args))
     report = cert.to_report()
     if args.out:
         Path(args.out).write_text(report)
@@ -121,6 +120,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_ASSERT
 
 
+def _worker_count(text: str) -> int:
+    """--threads: an integer >= 1; 0 or less would run serially unannounced."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="robust-huber",
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
         "gen": (cmd_gen, "emit the dataset of a configured scenario as CSV"),
-        "solve": (cmd_solve, "solve a single configured instance"),
+        "solve": (cmd_solve, "run the first trial and print what its sweep row records"),
         "verify": (cmd_verify, "solve one instance and report its certificate"),
         "sweep": (cmd_sweep, "run a configured experiment grid"),
     }
@@ -141,7 +147,7 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="output path")
         if name == "sweep":
-            sp.add_argument("--threads", type=int, default=1, help="worker processes")
+            sp.add_argument("--threads", type=_worker_count, default=1, help="worker processes")
         sp.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

@@ -4,9 +4,14 @@ CSV/report emission.
 Every scenario is one row of SCENARIOS: its instance builder, its per-trial
 metrics, its pass/fail checks, its plot axes and the parameter keys it reads.
 A spec is checked against its row when it is made, so a config with an
-unknown or a missing key, or a value of the wrong type, fails at load,
-before any trial runs.  PARAMS states each parameter's type and default
-once, and Scenario.resolve fills in the defaults for builders and checks.
+unknown or a missing key, a value of the wrong type, or a signal or noise
+law its builder would reject fails at load, before any trial runs.  PARAMS
+states each parameter's type and default once, and Scenario.resolve fills
+in the defaults for builders and checks.
+
+Each scenario's trial returns its SolveResult, whose point is the estimate,
+with its metrics and flags; run_trial adds the `dominated` flag from the
+result.  A sweep's rows and `robust-huber solve` both come from run_trial.
 
 A run is a pure function of (config bytes, seed): every trial derives its
 instance seed from (seed, grid point index, trial index), workers share
@@ -72,11 +77,12 @@ __all__ = [
     "run_experiment",
     "fit_loglog_slope",
     "emit_csv",
-    "parse_csv",
     "emit_report",
     "scenario_assertions",
     "build_instance",
+    "solve_instance",
     "run_certificate",
+    "run_trial",
 ]
 
 # numeric failures of one trial; the CLI exits with its numeric code on these
@@ -124,7 +130,16 @@ class ExperimentSpec:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value!r}")
-        SCENARIOS[self.scenario].check_keys(self.scenario, self.grid, self.params)
+        row = SCENARIOS[self.scenario]
+        row.check_keys(self.scenario, self.grid, self.params)
+        # each point's laws, made as its builder makes them, so a value out of
+        # range (alpha = 1.5, k > d) fails here, not in every trial
+        for point in grid_points(self.grid):
+            p = row.resolve({**self.params, **point})
+            try:
+                row.family_for(p).laws(p)
+            except ValueError as exc:
+                raise ValueError(f"[{self.scenario}] at {point}: {exc}") from None
 
     def trials(self) -> Iterator[tuple[dict, int, dict, int]]:
         """(grid point, trial index, parameters, instance seed) of every trial,
@@ -237,14 +252,18 @@ def _noise(p: dict) -> NoiseSpec:
     return NoiseSpec(p["noise_family"], p["alpha"], p["zeta"], p["outlier_scale"])
 
 
+def _signal(p: dict) -> SignalSpec:
+    if p["k"] > p["d"]:  # gen_sparse_signal's check, made before any draw
+        raise ValueError("k cannot exceed d")
+    return SignalSpec(k=p["k"], magnitude=p["magnitude"])
+
+
 def _build_regression(p, instance_seed):
-    signal = SignalSpec(k=p["k"], magnitude=p["magnitude"])
-    return make_regression_instance(p["n"], p["d"], signal, _noise(p), instance_seed)
+    return make_regression_instance(p["n"], p["d"], _signal(p), _noise(p), instance_seed)
 
 
 def _build_gaussian_design(p, instance_seed):
-    signal = SignalSpec(k=p["k"], magnitude=p["magnitude"])
-    return make_gaussian_design_instance(p["n"], p["d"], signal, p["alpha"], instance_seed)
+    return make_gaussian_design_instance(p["n"], p["d"], _signal(p), p["alpha"], instance_seed)
 
 
 def _build_pca(p, instance_seed):
@@ -293,26 +312,32 @@ def _defaults(keys) -> dict:
 
 @dataclass(frozen=True)
 class Family:
-    """One kind of problem instance: its builder, the keys the builder reads
-    and the noise_family names it can draw, if it reads that key."""
+    """One kind of problem instance: its builder, the keys the builder reads,
+    the noise_family names it can draw, if it reads that key, and the maker
+    of the signal and noise laws the builder draws from (checked at load)."""
 
     build: Callable[[dict, int], object]
     reads: frozenset
     noise_families: tuple = ()
+    laws: Callable[[dict], object] = lambda p: None
 
 
 _NOISE_KEYS = frozenset({"noise_family", "alpha", "zeta", "outlier_scale"})  # read by _noise
 _REGRESSION = Family(
-    _build_regression, _NOISE_KEYS | {"n", "d", "k", "magnitude"}, VECTOR_NOISE_FAMILIES
+    _build_regression, _NOISE_KEYS | {"n", "d", "k", "magnitude"}, VECTOR_NOISE_FAMILIES,
+    lambda p: (_signal(p), _noise(p)),
 )
-_PCA = Family(_build_pca, _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"}, NOISE_FAMILIES)
+_PCA = Family(
+    _build_pca, _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"}, NOISE_FAMILIES, _noise
+)
 # meta_certificate solves whichever of these its `family` parameter names
 FAMILIES = {"regression": _REGRESSION, "pca": _PCA}
 
 
 # ---------------------------------------------------------------------------
 # per-trial execution: (spec, parameters, instance seed) ->
-# (metrics, iterations, flags)
+# (SolveResult, metrics, flags).  The estimate is the result's point, and its
+# iterations and `dominated` flag are read from it by run_trial alone.
 
 
 def build_instance(spec: ExperimentSpec, p: dict, instance_seed: int):
@@ -323,63 +348,71 @@ def build_instance(spec: ExperimentSpec, p: dict, instance_seed: int):
     return row.family_for(p).build(p, instance_seed)
 
 
-def _solve(spec: ExperimentSpec, problem, composite=None):
-    """Solve one instance with its kind's estimator: (estimate, SolveResult,
-    error metrics against the truth).  composite is the estimator's objective
-    when the caller has built it (run_certificate).  The estimators are called
-    through this module's globals, solver config third, so a wrapper set on
-    those module attributes sees every solve and its config."""
+def solve_instance(spec: ExperimentSpec, problem, composite=None):
+    """Solve one instance with its kind's estimator: (SolveResult, error
+    metrics of its point against the truth).  composite is the estimator's
+    objective when the caller has built it (run_certificate).  The estimators
+    are called through this module's globals, solver config third, so a
+    wrapper set on those module attributes sees every solve and its config."""
     if isinstance(problem, RegressionProblem):
-        estimate, result = estimate_sparse_regression(
+        _, result = estimate_sparse_regression(
             problem, spec.constants, spec.solver, composite=composite)
         metrics = {
-            "prediction_error_sq": prediction_error(problem, estimate),
-            "parameter_error_sq": parameter_error(problem, estimate),
+            "prediction_error_sq": prediction_error(problem, result.point),
+            "parameter_error_sq": parameter_error(problem, result.point),
         }
     else:
-        estimate, result = estimate_pca(problem, spec.constants, spec.solver,
-                                        composite=composite)
-        metrics = {"frobenius_error": frobenius_error(problem, estimate)}
-    return estimate, result, metrics
+        _, result = estimate_pca(problem, spec.constants, spec.solver, composite=composite)
+        metrics = {"frobenius_error": frobenius_error(problem, result.point)}
+    return result, metrics
 
 
 def run_certificate(spec: ExperimentSpec, p: dict, instance_seed: int):
-    """Solve one instance and assemble its certificate, both on the one
-    objective that problem_kind builds."""
+    """Solve one instance and assemble the certificate of its estimate, both
+    on the one objective that problem_kind builds: (SolveResult,
+    MetaCertificate)."""
     problem = build_instance(spec, p, instance_seed)
     kind = problem_kind(problem, spec.constants)
-    estimate, result, _ = _solve(spec, problem, kind.composite)
+    result, _ = solve_instance(spec, problem, kind.composite)
     cert_params = CertificateParams(alpha=p["alpha"], seed=instance_seed)
-    cert = assemble_certificate(kind, estimate, cert_params)
-    return problem, estimate, result, cert
+    return result, assemble_certificate(kind, result.point, cert_params)
 
 
-def _solve_metrics(spec, p, instance_seed):
-    _, result, metrics = _solve(spec, build_instance(spec, p, instance_seed))
-    return metrics, result.iterations, {"dominated": result.reference_dominated}
+def _solve_trial(spec, p, instance_seed):
+    result, metrics = solve_instance(spec, build_instance(spec, p, instance_seed))
+    return result, metrics, {}
 
 
-def _phase_metrics(spec, p, instance_seed):
+def _phase_trial(spec, p, instance_seed):
     problem = build_instance(spec, p, instance_seed)
     rel_error, result = phase_trial(problem, spec.constants, spec.solver)
-    flags = {"success": rel_error <= p["epsilon"], "dominated": result.reference_dominated}
-    return {"rel_error": rel_error}, result.iterations, flags
+    return result, {"rel_error": rel_error}, {"success": rel_error <= p["epsilon"]}
 
 
-def _certificate_metrics(spec, p, instance_seed):
-    _, _, result, cert = run_certificate(spec, p, instance_seed)
+def _certificate_trial(spec, p, instance_seed):
+    result, cert = run_certificate(spec, p, instance_seed)
     names = ("error_value", "gamma_measured", "kappa", "s", "R", "radius_est")
     metrics = {name: getattr(cert, name) for name in names}
     flags = dict(cert.conditions)
+    # no dominated flag: run_trial's, from the same composite, estimate and truth,
+    # is the same bit as cert.dominated_est
     flags.update(
         all_conditions=cert.all_conditions(),
         cone_membership=cert.cone_membership_ok,
         error_lt_radius=cert.error_lt_radius,
-        dominated=cert.dominated_est,
         dominated_meas=cert.dominated_meas,
         rsc_vacuous=cert.rsc_vacuous,
     )
-    return metrics, result.iterations, flags
+    return result, metrics, flags
+
+
+def run_trial(spec: ExperimentSpec, p: dict, instance_seed: int):
+    """One trial of spec's scenario: (SolveResult, metrics, flags), the flags
+    with `dominated` (the estimate's objective is at most the truth's).  The
+    sweep records the metrics, flags and iterations of this result as the
+    trial's row, and `robust-huber solve` prints them for the first trial."""
+    result, metrics, flags = SCENARIOS[spec.scenario].trial(spec, p, instance_seed)
+    return result, metrics, {**flags, "dominated": result.reference_dominated}
 
 
 def _trial_worker(job) -> ResultRow:
@@ -387,8 +420,8 @@ def _trial_worker(job) -> ResultRow:
     spec, (point, trial, p, iseed) = job
     t0 = time.perf_counter()
     try:
-        metrics, iterations, flags = SCENARIOS[spec.scenario].trial(spec, p, iseed)
-        tag = ""
+        result, metrics, flags = run_trial(spec, p, iseed)
+        iterations, tag = result.iterations, ""
     except _ROW_ERRORS as exc:  # recorded, run continues
         metrics, iterations, flags = {}, 0, {}
         tag = f"{type(exc).__name__}: " + " ".join(str(exc).split())
@@ -525,50 +558,6 @@ def emit_csv(rows: Sequence[ResultRow], path) -> None:
                 writer.writerow(rec)
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
-
-
-def parse_csv(path) -> list[ResultRow]:
-    """Inverse of emit_csv (wall_ms comes back as the stored zero)."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            records = list(reader)
-    except OSError as exc:
-        raise OSError(f"cannot read CSV {path}: {exc}") from exc
-    i_trial = header.index("trial")
-    i_iter = header.index("iterations")
-    i_wall = header.index("wall_ms")
-    point_keys = header[1:i_trial]
-    metric_keys = header[i_trial + 1 : i_iter]
-    flag_keys = header[i_iter + 1 : i_wall]
-    rows = []
-    for rec in records:
-        point = {
-            k: _parse_scalar(v)
-            for k, v in zip(point_keys, rec[1 : i_trial])
-            if v != ""
-        }
-        metrics = {
-            k: float(v) for k, v in zip(metric_keys, rec[i_trial + 1 : i_iter])
-        }
-        flags = {k: v == "1" for k, v in zip(flag_keys, rec[i_iter + 1 : i_wall])}
-        error = rec[i_wall + 1]
-        if error:
-            metrics = {k: v for k, v in metrics.items() if not np.isnan(v)}
-        rows.append(
-            ResultRow(
-                scenario=rec[0],
-                point=point,
-                trial=int(rec[i_trial]),
-                metrics=metrics,
-                iterations=int(rec[i_iter]),
-                flags=flags,
-                wall_ms=float(rec[i_wall]),
-                error=error,
-            )
-        )
-    return rows
 
 
 def _gnuplot_script(spec: ExperimentSpec, rows: Sequence[ResultRow], csv_path) -> Optional[str]:
@@ -765,7 +754,9 @@ class Scenario:
     """Everything the runner knows about one scenario."""
 
     family: Optional[Family]  # None: the one FAMILIES names by the `family` key
-    trial: Callable  # (spec, parameters, instance seed) -> (metrics, iterations, flags)
+    # (spec, parameters, instance seed) -> (SolveResult, metrics, flags without
+    # `dominated`); run_trial adds that flag from the result
+    trial: Callable
     plot: tuple  # (x field, y field, log-log axes)
     checks: Callable = _no_checks  # (fixed parameters, error-free rows) -> triples
     # (centre, half-width) of the allowed log-log slope of the plotted y vs x
@@ -827,7 +818,7 @@ class Scenario:
 SCENARIOS: dict[str, Scenario] = {
     "regression_n_sweep": Scenario(
         family=_REGRESSION,
-        trial=_solve_metrics,
+        trial=_solve_trial,
         plot=("n", "prediction_error_sq", True),
         checks=_regression_bounds,
         slope=(-1.0, 0.25),
@@ -835,18 +826,19 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "regression_alpha_sweep": Scenario(
         family=_REGRESSION,
-        trial=_solve_metrics,
+        trial=_solve_trial,
         plot=("alpha", "prediction_error_sq", True),
         slope=(-2.0, 0.4),
     ),
     "regression_gaussian_design": Scenario(
-        family=Family(_build_gaussian_design, frozenset({"n", "d", "k", "alpha", "magnitude"})),
-        trial=_solve_metrics,
+        family=Family(_build_gaussian_design,
+                      frozenset({"n", "d", "k", "alpha", "magnitude"}), laws=_signal),
+        trial=_solve_trial,
         plot=("n", "prediction_error_sq", True),
     ),
     "pca_n_sweep": Scenario(
         family=_PCA,
-        trial=_solve_metrics,
+        trial=_solve_trial,
         plot=("n", "frobenius_error", True),
         checks=_pca_bounds,
         slope=(0.5, 0.2),
@@ -854,25 +846,25 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "pca_alpha_sweep": Scenario(
         family=_PCA,
-        trial=_solve_metrics,
+        trial=_solve_trial,
         plot=("alpha", "frobenius_error", True),
         slope=(-1.0, 0.3),
     ),
     "matrix_completion": Scenario(
         family=Family(_build_completion, frozenset({"n", "r", "alpha", "zeta", "rho_over_n"})),
-        trial=_solve_metrics,
+        trial=_solve_trial,
         plot=("alpha", "frobenius_error", False),
     ),
     "lowerbound_phase": Scenario(
         family=Family(_build_phase, frozenset({"n", "r", "alpha"})),
-        trial=_phase_metrics,
+        trial=_phase_trial,
         plot=("alpha", "rel_error", False),
         checks=_phase_checks,
         reads=frozenset({"epsilon"}),
     ),
     "meta_certificate": Scenario(
         family=None,
-        trial=_certificate_metrics,
+        trial=_certificate_trial,
         plot=("instance", "error_value", False),
         checks=_meta_checks,
         reads=frozenset({"family", "instance"}),

@@ -1,6 +1,7 @@
 """Tests for the batch experiment runner: specs, CSV round trips, scenario
 assertions, reports, and the command-line front end."""
 
+import csv
 import dataclasses
 import os
 import re
@@ -24,8 +25,8 @@ from robust_huber.experiments import (
     fit_loglog_slope,
     grid_points,
     median_by_point,
-    parse_csv,
     run_experiment,
+    run_trial,
     scenario_assertions,
 )
 
@@ -222,7 +223,7 @@ def test_spec_trials_order_seeds_and_rows():
     assert [(r.point, r.trial) for r in rows] == [(pt, t) for pt, t, _, _ in trials]
     # each row solved its trial's instance
     _, _, p, seed = trials[-1]
-    _, _, metrics = experiments._solve(spec, experiments.build_instance(spec, p, seed))
+    _, metrics = experiments.solve_instance(spec, experiments.build_instance(spec, p, seed))
     assert rows[-1].metrics == metrics
 
 
@@ -438,6 +439,54 @@ def test_a_swept_defaulted_key_overrides_its_default():
     assert experiments.build_instance(swept, p, 7).zeta == 0.25
 
 
+# a tiny spec of every scenario whose first trial solves: SMALL_REQUIRED at
+# n = 16, and the meta_certificate family pca inside its box (l_scale 0.5)
+TRIAL_SPECS = [
+    ExperimentSpec(scenario=name, grid={"n": [16]}, params=required, solver=FAST_SOLVER)
+    for name, required in SMALL_REQUIRED.items()
+] + [
+    ExperimentSpec(scenario="meta_certificate", grid={"instance": [0]},
+                   params={"n": 100, "d": 8, "k": 2, "alpha": 0.9}, solver=FAST_SOLVER),
+    ExperimentSpec(scenario="meta_certificate", grid={"instance": [0]},
+                   params={"family": "pca", "n": 24, "r": 1, "alpha": 0.9, "l_scale": 0.5},
+                   constants=EstimatorConstants(gamma_scale=2.0), solver=FAST_SOLVER),
+]
+
+
+def test_trial_specs_cover_every_scenario():
+    assert {spec.scenario for spec in TRIAL_SPECS} == set(experiments.SCENARIOS)
+
+
+@pytest.mark.parametrize("spec", TRIAL_SPECS,
+                         ids=[f"{s.scenario}-{s.params.get('family', '')}" for s in TRIAL_SPECS])
+def test_run_trial_returns_the_row_the_sweep_records(spec):
+    # one path: the row holds run_trial's metrics, flags and the iterations of
+    # its SolveResult, bit for bit; no trial function reports those itself
+    (row,) = run_experiment(spec)
+    assert not row.error
+    _, _, p, seed = next(spec.trials())
+    result, metrics, flags = run_trial(spec, p, seed)
+    assert row.iterations == result.iterations
+    assert row.metrics == {k: float(v) for k, v in metrics.items()}
+    assert row.flags == {k: bool(v) for k, v in flags.items()}
+    assert result.reference_dominated is not None
+    assert flags["dominated"] == result.reference_dominated
+    trial_result, _, trial_flags = experiments.SCENARIOS[spec.scenario].trial(spec, p, seed)
+    assert "dominated" not in trial_flags
+    assert trial_result.iterations == result.iterations
+
+
+@pytest.mark.parametrize("config", ["accept06_meta_regression.ini", "accept06_meta_pca.ini"])
+def test_meta_row_dominated_flag_is_the_certificates(config):
+    # the meta row's `dominated` is the solve's reference_dominated; the
+    # certificate's dominated_est checks the same composite, estimate and truth
+    spec = ExperimentSpec.from_config(CONFIG_DIR / config)
+    _, _, p, seed = next(spec.trials())
+    result, cert = experiments.run_certificate(spec, p, seed)
+    assert result.reference_dominated is not None
+    assert result.reference_dominated == cert.dominated_est
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -500,6 +549,12 @@ def test_fit_loglog_slope_errors():
 # CSV emission
 
 
+def read_csv(path):
+    """Every record of a CSV, its header first, as emit_csv wrote it."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_emit_csv_schema_and_round_trip(tmp_path):
     rows = [
         ResultRow(
@@ -515,10 +570,13 @@ def test_emit_csv_schema_and_round_trip(tmp_path):
     ]
     path = tmp_path / "out.csv"
     emit_csv(rows, path)
-    text = path.read_text()
-    header = text.splitlines()[0]
-    assert header == "scenario,n,trial,frobenius_error,iterations,dominated,wall_ms,error"
-    assert parse_csv(path) == rows
+    assert read_csv(path) == [
+        ["scenario", "n", "trial", "frobenius_error", "iterations", "dominated", "wall_ms",
+         "error"],
+        ["pca_n_sweep", "50", "0", "0.30000000000000004", "17", "1", "0", ""],
+        ["pca_n_sweep", "50", "1", "nan", "0", "0", "0",
+         "SolverDiverged: objective overflow"],
+    ]
 
 
 def test_emit_csv_sorts_rows(tmp_path):
@@ -533,14 +591,12 @@ def test_emit_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)
     assert path.read_text() == "scenario,trial,iterations,wall_ms,error\n"
-    assert parse_csv(path) == []
+    assert read_csv(path) == [["scenario", "trial", "iterations", "wall_ms", "error"]]
 
 
 def test_csv_io_errors(tmp_path):
     with pytest.raises(OSError):
         emit_csv([], tmp_path / "missing_dir" / "x.csv")
-    with pytest.raises(OSError):
-        parse_csv(tmp_path / "nope.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +911,14 @@ TINY_COMPLETION_INI = (
 )
 
 
+TINY_PHASE_INI = (
+    "[lowerbound_phase]\n"
+    "alpha_grid = 0.25\nn = 20\nr = 1\nepsilon = 0.5\n"
+    "trials_per_point = 1\nseed = 3\ngamma_scale = 2.0\nhuber_h_override = 3.0\n"
+    "max_iters = 100\nrel_tol = 1e-4\n"
+)
+
+
 def test_cli_gen_regression(tmp_path):
     cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
     out = tmp_path / "data.csv"
@@ -903,7 +967,39 @@ def test_cli_solve(tmp_path, capsys):
     assert "\nconverged = 1\n" in printed
     assert "\nstop_reason = tolerance\n" in printed
     assert "\nrejected = 0\n" in printed  # FISTA takes no Anderson step
+    assert "\ndominated = " in printed
     assert est.exists()
+
+
+def printed_fields(text):
+    return dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+
+
+def test_cli_solve_prints_the_row_its_sweep_records(tmp_path, capsys):
+    # the phase trial records rel_error = Frobenius error / n and its success
+    # flag; solve prints those cells of trial 0, not a measure of its own
+    cfg = write_config(tmp_path, "phase1.ini", TINY_PHASE_INI)
+    assert main(["solve", "--config", cfg]) == EXIT_OK
+    printed = printed_fields(capsys.readouterr().out)
+    out = tmp_path / "phase1.csv"
+    main(["sweep", "--config", cfg, "--out", str(out)])
+    header, first, *_ = read_csv(out)
+    row = dict(zip(header, first))
+    assert row["trial"] == "0"
+    for name in ("rel_error", "success", "dominated", "iterations"):
+        assert printed[name] == row[name], name
+    assert "frobenius_error" not in printed
+
+
+def test_cli_sweep_rejects_fewer_than_one_thread(tmp_path, capsys):
+    cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
+    out = tmp_path / "reg.csv"
+    for threads in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threads: must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_success(tmp_path):
@@ -914,7 +1010,7 @@ def test_cli_sweep_success(tmp_path):
     report = tmp_path / "mc_report.txt"
     assert report.exists()
     assert (tmp_path / "mc_report.gnuplot").exists()
-    assert len(parse_csv(out)) == 2
+    assert len(read_csv(out)) == 1 + 2
 
 
 def test_cli_sweep_assertion_failure(tmp_path):
@@ -1060,6 +1156,14 @@ def test_cli_verify_without_alpha(tmp_path):
          TINY_REGRESSION_INI + "noise_family = lb_geometric_even\n", "'lb_geometric_even'"),
         ("repeated_grid_value", TINY_REGRESSION_INI.replace("n_grid = 30", "n_grid = 30 30"),
          "n_grid must list distinct values"),
+        # out of the range that the point's signal and noise laws accept (d = 8)
+        ("alpha_above_one", TINY_REGRESSION_INI.replace("alpha = 0.8", "alpha = 1.5"),
+         "alpha must lie in (0, 1]"),
+        ("k_zero", TINY_REGRESSION_INI.replace("k = 2", "k = 0"), "k must be >= 1"),
+        ("k_above_d", TINY_REGRESSION_INI.replace("k = 2", "k = 9"), "k cannot exceed d"),
+        ("negative_zeta", TINY_REGRESSION_INI + "zeta = -1.0\n", "zeta must be >= 0"),
+        ("negative_magnitude", TINY_REGRESSION_INI.replace("magnitude = 3.0", "magnitude = -1.0"),
+         "magnitude must be positive"),
     ],
 )
 def test_cli_sweep_rejects_bad_config_at_load(tmp_path, capsys, name, ini, message):
@@ -1116,17 +1220,10 @@ def test_cli_bug_in_a_trial_is_not_a_config_error(tmp_path, monkeypatch):
 def test_cli_phase_with_one_alpha_fails_its_check(tmp_path, capsys):
     # loading must accept it (a benchmark cuts every grid to one point), but
     # one alpha shows no transition, so the sweep cannot pass
-    cfg = write_config(
-        tmp_path,
-        "phase1.ini",
-        "[lowerbound_phase]\n"
-        "alpha_grid = 0.25\nn = 20\nr = 1\nepsilon = 0.5\n"
-        "trials_per_point = 1\nseed = 3\ngamma_scale = 2.0\nhuber_h_override = 3.0\n"
-        "max_iters = 100\nrel_tol = 1e-4\n",
-    )
+    cfg = write_config(tmp_path, "phase1.ini", TINY_PHASE_INI)
     out = tmp_path / "phase1.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERT
-    assert len(parse_csv(out)) == 1
+    assert len(read_csv(out)) == 1 + 1
     assert "FAIL phase_alpha_grid: " in capsys.readouterr().out
 
 

@@ -5,12 +5,13 @@
 Run from the repository root.  Each revision is exported with ``git archive``
 (``bench_pairs.export``).  In one subprocess per revision, with
 ``OPENBLAS_NUM_THREADS=1``, every config under that revision's ``configs/``
-runs serially, trimmed to its first grid point and one trial at seed 7, and
-writes its CSV; a ``meta_certificate`` config also writes the certificate
-report of that first instance (``<config>.report``, the report ``robust-huber
-verify`` prints, without the note it adds on a vacuous radius).  The script then lists each CSV and report as
-``identical``, ``differs``, or missing on one side (a config that failed to
-run, or exists in one revision only), and exits 0 only if all are identical.
+runs serially, trimmed to trial 0 of every grid point at seed 7, and writes
+its CSV; a ``meta_certificate`` config also writes the certificate report of
+its first instance (``<config>.report``, the report ``robust-huber verify``
+prints, without the note it adds on a vacuous radius).  The script then
+lists each CSV and report as ``identical``, ``differs``, or missing on one
+side (a config that failed to run, or exists in one revision only), and
+exits 0 only if all are identical.
 Under each file that differs it prints the first differing line of each
 side, which names the grid point and trial, or the report field, that moved,
 and the largest relative difference |head - base| / |base| of each numeric
@@ -18,7 +19,9 @@ column (each numeric field of a report), which shows how far results moved.
 
 A result-neutral change (a refactor, a speedup that must not move any
 iterate) should leave every line ``identical``.  The trimmed runs reach every
-scenario's code path in seconds; they do not replace the full sweeps.
+scenario's code path and every grid point (each phase alpha, each
+certificate instance) in about 25 s per revision on two cores; they do not
+replace the full sweeps.
 """
 
 from __future__ import annotations
@@ -48,13 +51,10 @@ from robust_huber.experiments import ExperimentSpec, emit_csv, run_certificate, 
 out, seed = Path(sys.argv[1]), int(sys.argv[2])
 for path in sorted(Path("configs").glob("*.ini")):
     try:
-        spec = ExperimentSpec.from_config(path, seed=seed)
-        first, _, p, instance_seed = next(spec.trials())
-        spec = dataclasses.replace(
-            spec, grid={k: [v] for k, v in first.items()}, trials_per_point=1
-        )
+        spec = dataclasses.replace(ExperimentSpec.from_config(path, seed=seed), trials_per_point=1)
         emit_csv(run_experiment(spec), out / (path.stem + ".csv"))
         if spec.scenario == "meta_certificate":
+            _, _, p, instance_seed = next(spec.trials())  # the first instance
             # [-1]: the certificate, last in run_certificate's return at every revision
             cert = run_certificate(spec, p, instance_seed)[-1]
             (out / (path.stem + ".report")).write_text(cert.to_report())

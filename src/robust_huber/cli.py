@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from pathlib import Path
 
@@ -98,6 +99,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args)
+    out = Path(args.out or f"{spec.scenario}.csv")
+    # checked before the first trial, so a bad path loses no run
+    if out.is_dir() or not os.access(out.parent, os.W_OK):
+        raise OSError(f"cannot write CSV {out}: not a file in a writable directory")
     total = sum(1 for _ in spec.trials())
     done = [0]
 
@@ -110,7 +115,6 @@ def cmd_sweep(args) -> int:
         )
 
     rows = run_experiment(spec, threads=args.threads, on_row=progress)
-    out = Path(args.out or f"{spec.scenario}.csv")
     emit_csv(rows, out)
     report_path = out.with_name(out.stem + "_report.txt")
     checks = emit_report(rows, report_path, csv_path=out, spec=spec)

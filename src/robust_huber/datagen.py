@@ -5,6 +5,9 @@ Every generator is a pure function of its parameters and a 64-bit seed.
 Independent streams (design, signal, noise, per-trial) are derived from the
 seed through numpy SeedSequence keys, so parallel trial execution cannot
 change any draw.
+
+Each instance maker has a check_* of the same arguments but the seed, which
+raises where the maker would, before any draw, and draws nothing itself.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .estimators import PcaProblem, RegressionProblem
 
 __all__ = [
+    "NOISE_FAMILIES",
     "NoiseSpec",
     "SignalSpec",
     "stream_rng",
@@ -26,12 +30,17 @@ __all__ = [
     "gen_deterministic_outlier_noise",
     "gen_flat_lowrank",
     "gen_lb_noise",
+    "lb_noise_params",
     "lb_alpha_of_xi",
     "lb_xi_of_alpha",
     "gen_matrix_completion_scenario",
     "make_regression_instance",
     "make_gaussian_design_instance",
     "make_pca_instance",
+    "check_regression_instance",
+    "check_gaussian_design_instance",
+    "check_pca_instance",
+    "check_matrix_completion_scenario",
     "trial_seed",
 ]
 
@@ -39,6 +48,8 @@ __all__ = [
 # law of the whole n x n noise matrix, which only make_pca_instance draws
 VECTOR_NOISE_FAMILIES = ("symmetric_mixture", "gaussian", "deterministic_sparse_outliers")
 NOISE_FAMILIES = (*VECTOR_NOISE_FAMILIES, "lb_geometric_even")
+
+HIDDEN_SCALE = 1000.0  # a completion scenario's hidden entries are +-HIDDEN_SCALE*rho/n
 
 # stream tags keep the draw order of one generator independent of the others
 _DESIGN, _SIGNAL, _NOISE, _LOWRANK, _MASK = 11, 13, 17, 19, 23
@@ -78,7 +89,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}")
+            raise ValueError(f"noise_family must be one of {sorted(NOISE_FAMILIES)}, "
+                             f"got {self.family!r}")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
         if not (np.isfinite(self.zeta) and self.zeta >= 0):
@@ -121,13 +133,17 @@ def gen_gaussian_design(n: int, d: int, sigma, seed: int) -> np.ndarray:
 
 def gen_sparse_signal(d: int, spec: SignalSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random support of size k, entries +-magnitude; returns (beta, support)."""
-    if spec.k > d:
-        raise ValueError("k cannot exceed d")
+    _check_signal(d, spec)
     rng = stream_rng(seed, _SIGNAL)
     support = np.sort(rng.choice(d, size=spec.k, replace=False))
     beta = np.zeros(d)
     beta[support] = spec.magnitude * (2 * rng.integers(0, 2, size=spec.k) - 1)
     return beta, support
+
+
+def _check_signal(d: int, spec: SignalSpec) -> None:
+    if spec.k > d:
+        raise ValueError("k cannot exceed d")
 
 
 def _mixture_noise(shape, spec: NoiseSpec, rng) -> np.ndarray:
@@ -144,8 +160,6 @@ def _mixture_noise(shape, spec: NoiseSpec, rng) -> np.ndarray:
 def _gaussian_noise(shape, spec: NoiseSpec, rng) -> np.ndarray:
     if spec.alpha >= 1.0:
         return np.zeros(shape)
-    if spec.zeta <= 0:
-        raise ValueError("gaussian family needs zeta > 0 when alpha < 1")
     # imported here: only this family needs scipy, whose import takes ~0.3 s
     from scipy.special import ndtri
 
@@ -155,14 +169,27 @@ def _gaussian_noise(shape, spec: NoiseSpec, rng) -> np.ndarray:
 
 def gen_oblivious_noise_vector(n: int, spec: NoiseSpec, seed: int) -> np.ndarray:
     """Length-n noise draw from a symmetric family with P(|entry|<=zeta) >= alpha."""
+    _check_noise_vector(n, spec)
     rng = stream_rng(seed, _NOISE)
     if spec.family == "symmetric_mixture":
         return _mixture_noise(n, spec, rng)
     if spec.family == "gaussian":
         return _gaussian_noise(n, spec, rng)
-    if spec.family == "deterministic_sparse_outliers":
-        return gen_deterministic_outlier_noise(n, spec.alpha, seed)
-    raise ValueError(f"family {spec.family!r} is not an entrywise vector family")
+    return gen_deterministic_outlier_noise(n, spec.alpha, seed)
+
+
+def _check_noise_vector(n: int, spec: NoiseSpec) -> None:
+    if spec.family not in VECTOR_NOISE_FAMILIES:
+        raise ValueError(f"noise_family must be one of {sorted(VECTOR_NOISE_FAMILIES)}, "
+                         f"got {spec.family!r}")
+    if spec.family == "gaussian" and spec.alpha < 1 and spec.zeta <= 0:
+        raise ValueError("gaussian family needs zeta > 0 when alpha < 1")
+    if spec.family == "deterministic_sparse_outliers" and np.floor(spec.alpha * n) < 1:
+        raise ValueError("alpha*n must be >= 1 so at least one inlier exists")
+
+
+def _outliers(alpha: float) -> NoiseSpec:
+    return NoiseSpec(family="deterministic_sparse_outliers", alpha=alpha)
 
 
 OUTLIER_MAGNITUDE = 1e6
@@ -175,11 +202,8 @@ def gen_deterministic_outlier_noise(n: int, alpha: float, seed: int) -> np.ndarr
     seed stream distinct from the design stream (make_gaussian_design_instance
     enforces this split).
     """
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_noise_vector(n, _outliers(alpha))
     n_in = int(np.floor(alpha * n))
-    if n_in < 1:
-        raise ValueError("alpha*n must be >= 1 so at least one inlier exists")
     rng = stream_rng(seed, _NOISE, 2)
     positions = rng.choice(n, size=n_in, replace=False)
     eta = OUTLIER_MAGNITUDE * (2.0 * rng.integers(0, 2, size=n) - 1.0)
@@ -193,10 +217,7 @@ def gen_flat_lowrank(n: int, r: int, rho_over_n: float, seed: int) -> np.ndarray
     Built as sum_k u_k v_k^T where u_k is a +-1 indicator of the k-th row
     block (sizes floor(n/r) or ceil(n/r)) and v_k is uniform on {+-1}^n.
     """
-    if not (1 <= r <= n):
-        raise ValueError("need 1 <= r <= n")
-    if not (np.isfinite(rho_over_n) and rho_over_n > 0):
-        raise ValueError("rho_over_n must be positive")
+    _check_lowrank(n, r, rho_over_n)
     rng = stream_rng(seed, _LOWRANK)
     sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
     L = np.zeros((n, n))
@@ -207,6 +228,13 @@ def gen_flat_lowrank(n: int, r: int, rho_over_n: float, seed: int) -> np.ndarray
         L[row : row + size, :] = np.outer(u, v)
         row += size
     return rho_over_n * L
+
+
+def _check_lowrank(n: int, r: int, rho_over_n: float) -> None:
+    if not (1 <= r <= n):
+        raise ValueError("need 1 <= r <= n")
+    if not (np.isfinite(rho_over_n) and rho_over_n > 0):
+        raise ValueError("rho_over_n must be positive")
 
 
 def lb_noise_params(n: int, r: int, xi: float) -> tuple[float, float]:
@@ -253,14 +281,11 @@ def gen_matrix_completion_scenario(
 ) -> PcaProblem:
     """Observed entries carry uniform noise, hidden entries a fixed huge value.
 
-    Hidden entries (probability 1-alpha) are +-1000*rho/n with random sign,
-    so they behave as oblivious outliers of known magnitude.
+    Hidden entries (probability 1-alpha) are +-HIDDEN_SCALE*rho/n with random
+    sign, so they behave as oblivious outliers of known magnitude.
     """
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    hidden_magnitude = 1000.0 * rho_over_n
-    if hidden_magnitude <= zeta:
-        raise ValueError("hidden magnitude must exceed zeta")
+    check_matrix_completion_scenario(n, r, alpha, zeta, rho_over_n)
+    hidden_magnitude = HIDDEN_SCALE * rho_over_n
     L = gen_flat_lowrank(n, r, rho_over_n, seed)
     rng = stream_rng(seed, _MASK)
     observed = rng.random((n, n)) < alpha
@@ -268,6 +293,17 @@ def gen_matrix_completion_scenario(
     signs = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
     N = np.where(observed, inlier, hidden_magnitude * signs)
     return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=zeta, L_star=L, r=r)
+
+
+def check_matrix_completion_scenario(n: int, r: int, alpha: float, zeta: float,
+                                     rho_over_n: float) -> None:
+    """Raise ValueError where gen_matrix_completion_scenario would; draws nothing."""
+    _check_lowrank(n, r, rho_over_n)
+    if not (0 < alpha <= 1):
+        raise ValueError("alpha must lie in (0, 1]")
+    if not (0 <= zeta < HIDDEN_SCALE * rho_over_n):
+        raise ValueError(f"zeta must be >= 0 and below the hidden magnitude "
+                         f"{HIDDEN_SCALE:g}*rho_over_n")
 
 
 def make_regression_instance(
@@ -282,12 +318,19 @@ def make_regression_instance(
 
     sigma=None draws an identity-covariance design.
     """
+    check_regression_instance(n, d, signal, noise)
     X = gen_gaussian_design(n, d, sigma, seed)
     beta, support = gen_sparse_signal(d, signal, seed)
     eta = gen_oblivious_noise_vector(n, noise, seed)
     return RegressionProblem(
         X=X, y=X @ beta + eta, beta_star=beta, support=support, k=signal.k
     )
+
+
+def check_regression_instance(n: int, d: int, signal: SignalSpec, noise: NoiseSpec) -> None:
+    """Raise ValueError where make_regression_instance would; draws nothing."""
+    _check_signal(d, signal)
+    _check_noise_vector(n, noise)
 
 
 def make_gaussian_design_instance(
@@ -303,8 +346,12 @@ def make_gaussian_design_instance(
     The noise positions come from a different stream than the design, which
     is the independence the recovery statement needs.
     """
-    noise = NoiseSpec(family="deterministic_sparse_outliers", alpha=alpha)
-    return make_regression_instance(n, d, signal, noise, seed, sigma=sigma)
+    return make_regression_instance(n, d, signal, _outliers(alpha), seed, sigma=sigma)
+
+
+def check_gaussian_design_instance(n: int, d: int, signal: SignalSpec, alpha: float) -> None:
+    """Raise ValueError where make_gaussian_design_instance would; draws nothing."""
+    check_regression_instance(n, d, signal, _outliers(alpha))
 
 
 def make_pca_instance(
@@ -320,11 +367,22 @@ def make_pca_instance(
     l_scale < 1 places L* strictly inside the max-norm box (entries
     +-l_scale*rho/n) while the problem keeps the box at rho/n.
     """
-    if not (0 < l_scale <= 1):
-        raise ValueError("l_scale must lie in (0, 1]")
+    check_pca_instance(n, r, noise, rho_over_n, l_scale)
     L = gen_flat_lowrank(n, r, l_scale * rho_over_n, seed)
     if noise.family == "lb_geometric_even":
         N = gen_lb_noise(n, r, lb_xi_of_alpha(n, r, noise.alpha), seed)
     else:
         N = gen_oblivious_noise_vector(n * n, noise, seed).reshape(n, n)
     return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=noise.zeta, L_star=L, r=r)
+
+
+def check_pca_instance(n: int, r: int, noise: NoiseSpec, rho_over_n: float,
+                       l_scale: float) -> None:
+    """Raise ValueError where make_pca_instance would; draws nothing."""
+    if not (0 < l_scale <= 1):
+        raise ValueError("l_scale must lie in (0, 1]")
+    _check_lowrank(n, r, l_scale * rho_over_n)
+    if noise.family == "lb_geometric_even":
+        lb_xi_of_alpha(n, r, noise.alpha)
+    else:
+        _check_noise_vector(n * n, noise)

@@ -241,12 +241,8 @@ def estimate_sparse_regression(
     passed when the caller has built it already; it is built here otherwise."""
     if composite is None:
         composite, _ = build_regression_composite(problem, constants)
-    result = solve_fista(composite, config, np.zeros(problem.d))
-    if problem.beta_star is not None:
-        result.reference_dominated = certify_against_reference(
-            composite, result.point, problem.beta_star
-        )
-    return result.point, result
+    return _estimate(composite, solve_fista(composite, config, np.zeros(problem.d)),
+                     problem.beta_star)
 
 
 def estimate_pca(
@@ -268,11 +264,13 @@ def estimate_pca(
     if composite is None:
         composite, _ = build_pca_composite(problem, constants)
     start = project_maxnorm(problem.Y, composite.constraint)
-    result = solve_split(composite, config, start)
-    if problem.L_star is not None:
-        result.reference_dominated = certify_against_reference(
-            composite, result.point, problem.L_star
-        )
+    return _estimate(composite, solve_split(composite, config, start), problem.L_star)
+
+
+def _estimate(composite, result: SolveResult, truth) -> tuple[np.ndarray, SolveResult]:
+    """(point, result), result.reference_dominated set against truth unless it is None."""
+    if truth is not None:
+        result.reference_dominated = certify_against_reference(composite, result.point, truth)
     return result.point, result
 
 

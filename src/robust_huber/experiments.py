@@ -1,13 +1,15 @@
 """Batch experiment runner: the scenario table, configs, seeded trials,
 CSV/report emission.
 
-Every scenario is one row of SCENARIOS: its instance builder, its per-trial
+Every scenario is one row of SCENARIOS: its instance family, its per-trial
 metrics, its pass/fail checks, its plot axes and the parameter keys it reads.
 A spec is checked against its row when it is made, so a config with an
-unknown or a missing key, a value of the wrong type, or a signal or noise
-law its builder would reject fails at load, before any trial runs.  PARAMS
-states each parameter's type and default once, and Scenario.resolve fills
-in the defaults for builders and checks.
+unknown or a missing key, a value of the wrong type, or a value its
+instance's generator would reject fails at load, before any trial runs.
+The laws of each grid point are checked by the generator's own check (the
+check_* functions of datagen and lowerbound, which draw nothing), so no
+range is stated here.  PARAMS states each parameter's type and default once,
+and Scenario.resolve fills in the defaults for builders and checks.
 
 Each scenario's trial returns its SolveResult, whose point is the estimate,
 with its metrics and flags; run_trial adds the `dominated` flag from the
@@ -38,11 +40,14 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+# the instance makers are called by name, through this module's globals (Family.build)
 from .datagen import (
-    NOISE_FAMILIES,
-    VECTOR_NOISE_FAMILIES,
     NoiseSpec,
     SignalSpec,
+    check_gaussian_design_instance,
+    check_matrix_completion_scenario,
+    check_pca_instance,
+    check_regression_instance,
     gen_matrix_completion_scenario,
     make_gaussian_design_instance,
     make_pca_instance,
@@ -58,7 +63,7 @@ from .estimators import (
     parameter_error,
     prediction_error,
 )
-from .lowerbound import phase_instance, phase_trial
+from .lowerbound import check_phase_instance, phase_instance, phase_trial
 from .solver import SolverConfig, SolverDiverged
 from .verification import (
     CONDITION_NAMES,
@@ -132,8 +137,9 @@ class ExperimentSpec:
                 raise ValueError(f"{key} must be >= {low}, got {value!r}")
         row = SCENARIOS[self.scenario]
         row.check_keys(self.scenario, self.grid, self.params)
-        # each point's laws, made as its builder makes them, so a value out of
-        # range (alpha = 1.5, k > d) fails here, not in every trial
+        # each point's laws, checked by its generator's own check without a
+        # draw, so a value out of range (alpha = 1.5, r > n) fails here, not
+        # in every trial
         for point in grid_points(self.grid):
             p = row.resolve({**self.params, **point})
             try:
@@ -243,9 +249,7 @@ def grid_points(grid: dict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# instance builders: (parameters, instance seed) -> problem.  Each one calls
-# its data generator through this module's globals at call time, so a wrapper
-# set on the module attribute sees every build.
+# the laws a family's maker draws from, made from a point's parameters
 
 
 def _noise(p: dict) -> NoiseSpec:
@@ -253,33 +257,7 @@ def _noise(p: dict) -> NoiseSpec:
 
 
 def _signal(p: dict) -> SignalSpec:
-    if p["k"] > p["d"]:  # gen_sparse_signal's check, made before any draw
-        raise ValueError("k cannot exceed d")
     return SignalSpec(k=p["k"], magnitude=p["magnitude"])
-
-
-def _build_regression(p, instance_seed):
-    return make_regression_instance(p["n"], p["d"], _signal(p), _noise(p), instance_seed)
-
-
-def _build_gaussian_design(p, instance_seed):
-    return make_gaussian_design_instance(p["n"], p["d"], _signal(p), p["alpha"], instance_seed)
-
-
-def _build_pca(p, instance_seed):
-    return make_pca_instance(
-        p["n"], p["r"], _noise(p), p["rho_over_n"], instance_seed, l_scale=p["l_scale"]
-    )
-
-
-def _build_completion(p, instance_seed):
-    return gen_matrix_completion_scenario(
-        p["n"], p["r"], p["alpha"], p["zeta"], p["rho_over_n"], instance_seed
-    )
-
-
-def _build_phase(p, instance_seed):
-    return phase_instance(p["n"], p["r"], p["alpha"], instance_seed)
 
 
 class Param(NamedTuple):
@@ -312,23 +290,35 @@ def _defaults(keys) -> dict:
 
 @dataclass(frozen=True)
 class Family:
-    """One kind of problem instance: its builder, the keys the builder reads,
-    the noise_family names it can draw, if it reads that key, and the maker
-    of the signal and noise laws the builder draws from (checked at load)."""
+    """One kind of problem instance: its maker (of datagen or lowerbound), the
+    maker's own check, the keyword arguments of both but the seed, and the
+    keys those read.  The laws are the generators' own checks."""
 
-    build: Callable[[dict, int], object]
+    maker: str  # the maker's name in this module's globals
+    check: Callable[..., None]
+    args: Callable[[dict], dict]
     reads: frozenset
-    noise_families: tuple = ()
-    laws: Callable[[dict], object] = lambda p: None
+
+    def build(self, p: dict, instance_seed: int):
+        # looked up when called, so a wrapper set on the module attribute sees every build
+        return globals()[self.maker](**self.args(p), seed=instance_seed)
+
+    def laws(self, p: dict) -> None:
+        """Raise ValueError where build(p, seed) would, without a draw."""
+        self.check(**self.args(p))
 
 
 _NOISE_KEYS = frozenset({"noise_family", "alpha", "zeta", "outlier_scale"})  # read by _noise
 _REGRESSION = Family(
-    _build_regression, _NOISE_KEYS | {"n", "d", "k", "magnitude"}, VECTOR_NOISE_FAMILIES,
-    lambda p: (_signal(p), _noise(p)),
+    "make_regression_instance", check_regression_instance,
+    lambda p: dict(n=p["n"], d=p["d"], signal=_signal(p), noise=_noise(p)),
+    _NOISE_KEYS | {"n", "d", "k", "magnitude"},
 )
 _PCA = Family(
-    _build_pca, _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"}, NOISE_FAMILIES, _noise
+    "make_pca_instance", check_pca_instance,
+    lambda p: dict(n=p["n"], r=p["r"], noise=_noise(p), rho_over_n=p["rho_over_n"],
+                   l_scale=p["l_scale"]),
+    _NOISE_KEYS | {"n", "r", "rho_over_n", "l_scale"},
 )
 # meta_certificate solves whichever of these its `family` parameter names
 FAMILIES = {"regression": _REGRESSION, "pca": _PCA}
@@ -792,7 +782,6 @@ class Scenario:
         if swept:
             raise ValueError(f"[{scenario}] {swept} must be fixed, not swept")
         allowed = self.reads_for(params)
-        noise_families = self.family_for(params).noise_families
         required = {key for key in allowed if PARAMS[key].default is None}
         keys = set(grid) | set(params)
         unknown = sorted(keys - allowed)
@@ -810,9 +799,6 @@ class Scenario:
                     raise ValueError(
                         f"[{scenario}] {key} must be {_TYPE_NAMES[kind]}, got {value!r}"
                     )
-                if key == "noise_family" and value not in noise_families:
-                    raise ValueError(f"[{scenario}] noise_family must be one of "
-                                     f"{sorted(noise_families)}, got {value!r}")
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -831,8 +817,11 @@ SCENARIOS: dict[str, Scenario] = {
         slope=(-2.0, 0.4),
     ),
     "regression_gaussian_design": Scenario(
-        family=Family(_build_gaussian_design,
-                      frozenset({"n", "d", "k", "alpha", "magnitude"}), laws=_signal),
+        family=Family(
+            "make_gaussian_design_instance", check_gaussian_design_instance,
+            lambda p: dict(n=p["n"], d=p["d"], signal=_signal(p), alpha=p["alpha"]),
+            frozenset({"n", "d", "k", "alpha", "magnitude"}),
+        ),
         trial=_solve_trial,
         plot=("n", "prediction_error_sq", True),
     ),
@@ -851,12 +840,20 @@ SCENARIOS: dict[str, Scenario] = {
         slope=(-1.0, 0.3),
     ),
     "matrix_completion": Scenario(
-        family=Family(_build_completion, frozenset({"n", "r", "alpha", "zeta", "rho_over_n"})),
+        family=Family(
+            "gen_matrix_completion_scenario", check_matrix_completion_scenario,
+            lambda p: {k: p[k] for k in ("n", "r", "alpha", "zeta", "rho_over_n")},
+            frozenset({"n", "r", "alpha", "zeta", "rho_over_n"}),
+        ),
         trial=_solve_trial,
         plot=("alpha", "frobenius_error", False),
     ),
     "lowerbound_phase": Scenario(
-        family=Family(_build_phase, frozenset({"n", "r", "alpha"})),
+        family=Family(
+            "phase_instance", check_phase_instance,
+            lambda p: {k: p[k] for k in ("n", "r", "alpha")},
+            frozenset({"n", "r", "alpha"}),
+        ),
         trial=_phase_trial,
         plot=("alpha", "rel_error", False),
         checks=_phase_checks,

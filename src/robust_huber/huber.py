@@ -42,26 +42,31 @@ def _check_finite(x, name):
     return arr
 
 
+def _penalty_and_clip(r, h):
+    """The entrywise penalty (0.5 c) c + h |r - c| and the clip c = clip(r, -h, h),
+    evaluated in place after the clip."""
+    c = np.clip(r, -h, h)
+    excess = np.abs(r - c)
+    excess *= h
+    out = np.multiply(c, 0.5)
+    out *= c
+    out += excess
+    return out, c
+
+
 def huber_penalty(t, params: HuberParams):
     """Penalty value: t^2/2 for |t| <= h, h(|t| - h/2) beyond.
 
     Evaluated as c^2/2 + h*|t - c| with c = clip(t, -h, h), which agrees with
     both branches and never squares a large argument.
     """
-    out = _penalty(_check_finite(t, "t"), params.h)
+    out, _ = _penalty_and_clip(_check_finite(t, "t"), params.h)
     return float(out) if out.ndim == 0 else out
-
-
-def _penalty(r, h):
-    """The entrywise expression of huber_loss_and_grad, (0.5 c) c + h |r - c|."""
-    c = np.clip(r, -h, h)
-    return 0.5 * c * c + h * np.abs(r - c)
 
 
 def huber_penalty_deriv(t, params: HuberParams):
     """Derivative: t inside [-h, h] (the kink at |t| = h included), h*sign(t) outside."""
-    t = _check_finite(t, "t")
-    out = np.clip(t, -params.h, params.h)
+    out = huber_loss_grad(t, params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -70,8 +75,7 @@ def huber_loss(residuals, params: HuberParams) -> float:
 
     Empty input sums to zero.
     """
-    r = _check_finite(residuals, "residuals")
-    return float(np.sum(_penalty(r, params.h)))
+    return huber_loss_and_grad(residuals, params)[0]
 
 
 def huber_loss_grad(residuals, params: HuberParams):
@@ -81,20 +85,8 @@ def huber_loss_grad(residuals, params: HuberParams):
 
 
 def huber_loss_and_grad(residuals, params: HuberParams):
-    """(huber_loss(r), huber_loss_grad(r)) from one finiteness check and one clip.
-
-    It evaluates huber_penalty's expression (0.5 c) c + h |r - c|, with
-    c = clip(r, -h, h), in place, in the same order of operations; so the
-    value and the gradient equal the two separate calls exactly.
-    """
-    r = _check_finite(residuals, "residuals")
-    h = params.h
-    c = np.clip(r, -h, h)
-    excess = np.abs(r - c)
-    excess *= h
-    out = np.multiply(c, 0.5)
-    out *= c
-    out += excess
+    """(huber_loss(r), huber_loss_grad(r)) from one finiteness check and one clip."""
+    out, c = _penalty_and_clip(_check_finite(residuals, "residuals"), params.h)
     return float(np.sum(out)), c
 
 

@@ -11,26 +11,37 @@ xi*sqrt(r) = sqrt(n)) and are what the recovery side of the phase diagram uses.
 
 The maps between a and xi (lb_alpha_of_xi, lb_xi_of_alpha) live in datagen,
 beside the noise law.  The sweep over alpha runs through the experiment runner
-as the `lowerbound_phase` scenario: its table row builds each trial's instance
-with `phase_instance`, and `phase_trial` solves that instance.
+as the `lowerbound_phase` scenario: its table row checks a config's points with
+`check_phase_instance`, builds each trial's instance with `phase_instance`,
+and `phase_trial` solves that instance.
 """
 
 from __future__ import annotations
 
-from .datagen import NoiseSpec, make_pca_instance
+from .datagen import NoiseSpec, check_pca_instance, make_pca_instance
 from .estimators import EstimatorConstants, PcaProblem, estimate_pca, frobenius_error
 from .solver import SolveResult, SolverConfig
 
-__all__ = ["phase_instance", "phase_trial"]
+__all__ = ["phase_instance", "check_phase_instance", "phase_trial"]
 
 PHASE_ZETA = 1.0  # the construction normalizes 0 <= zeta <= rho/n = 1
 PHASE_RHO_OVER_N = 1.0
 
 
-def phase_instance(n: int, r: int, alpha: float, instance_seed: int) -> PcaProblem:
-    """One draw of the generative model at inlier rate alpha."""
+def _model(n: int, r: int, alpha: float) -> dict:
+    """make_pca_instance's keyword arguments but the seed, at inlier rate alpha."""
     noise = NoiseSpec(family="lb_geometric_even", alpha=alpha, zeta=PHASE_ZETA)
-    return make_pca_instance(n, r, noise, PHASE_RHO_OVER_N, instance_seed, l_scale=1.0)
+    return dict(n=n, r=r, noise=noise, rho_over_n=PHASE_RHO_OVER_N, l_scale=1.0)
+
+
+def phase_instance(n: int, r: int, alpha: float, seed: int) -> PcaProblem:
+    """One draw of the generative model at inlier rate alpha."""
+    return make_pca_instance(**_model(n, r, alpha), seed=seed)
+
+
+def check_phase_instance(n: int, r: int, alpha: float) -> None:
+    """Raise ValueError where phase_instance would; draws nothing."""
+    check_pca_instance(**_model(n, r, alpha))
 
 
 def phase_trial(

@@ -34,8 +34,8 @@ class MaxNormBall:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"max-norm radius must be positive, got {self.radius!r}")
 
-    def contains(self, M, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(M)) <= self.radius * (1 + tol) + tol)
+    def contains(self, M) -> bool:
+        return bool(np.max(np.abs(M)) <= self.radius * (1 + 1e-12) + 1e-12)
 
 
 def _finite_array(x, name):

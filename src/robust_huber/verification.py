@@ -82,6 +82,10 @@ class RscSamplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 # cone samplers for S_b(Omega_bar) = {u : ||u||_reg <= b * ||proj_bar(u)||_reg}
 
+# both cones' member test (and so the cone_membership flag) allows this relative
+# slack, so a direction on a cone's boundary passes despite rounding in its norms
+MEMBER_RTOL = 1e-6
+
 
 @dataclass
 class SparseCone:
@@ -105,8 +109,8 @@ class SparseCone:
     def projection_norm(self, u) -> float:
         return float(np.sum(np.abs(np.asarray(u)[self.support])))
 
-    def member(self, u, rtol: float = 1e-9) -> bool:
-        return self.reg_norm(u) <= self.expansion * self.projection_norm(u) * (1 + rtol) + 1e-12
+    def member(self, u) -> bool:
+        return self.reg_norm(u) <= self.expansion * self.projection_norm(u) * (1 + MEMBER_RTOL) + 1e-12
 
     def sample(self, rng) -> np.ndarray:
         u = np.zeros(self.dim)
@@ -192,8 +196,8 @@ class LowRankCone:
         Q, _ = np.linalg.qr(np.hstack([self.col_basis, M @ self.row_basis]))
         return nuclear_norm(Q.T @ A)
 
-    def member(self, M, rtol: float = 1e-6) -> bool:
-        return self.reg_norm(M) <= self.expansion * self.projection_norm(M) * (1 + rtol) + 1e-9
+    def member(self, M) -> bool:
+        return self.reg_norm(M) <= self.expansion * self.projection_norm(M) * (1 + MEMBER_RTOL) + 1e-9
 
     def sample(self, rng) -> np.ndarray:
         n = self.col_basis.shape[0]
@@ -760,7 +764,7 @@ def assemble_certificate(
         rsc_vacuous=rsc_vacuous,
         lambda_hat=geo.lambda_hat,
         contraction_measured=contraction_measured,
-        cone_membership_ok=bool(cone.member(delta_hat, rtol=1e-6)),
+        cone_membership_ok=bool(cone.member(delta_hat)),
         error_value=err,
         error_lt_radius=bool(err < R),
         gamma_est=gamma_est,

@@ -1164,14 +1164,39 @@ def test_cli_verify_without_alpha(tmp_path):
         ("negative_zeta", TINY_REGRESSION_INI + "zeta = -1.0\n", "zeta must be >= 0"),
         ("negative_magnitude", TINY_REGRESSION_INI.replace("magnitude = 3.0", "magnitude = -1.0"),
          "magnitude must be positive"),
+        # out of the range that the instance's generator checks before its first draw
+        ("phase_alpha_one", TINY_PHASE_INI.replace("alpha_grid = 0.25", "alpha_grid = 0.25 1.0"),
+         "alpha must lie in (0, 1) to be realizable by some xi"),
+        ("phase_r_above_n", TINY_PHASE_INI.replace("r = 1", "r = 30"), "need 1 <= r <= n"),
+        ("completion_alpha_above_one",
+         TINY_COMPLETION_INI.replace("alpha_grid = 0.7 0.9", "alpha_grid = 0.7 1.5"),
+         "alpha must lie in (0, 1]"),
+        ("completion_r_zero", TINY_COMPLETION_INI.replace("r = 1", "r = 0"), "need 1 <= r <= n"),
+        ("completion_zeta_hides_nothing", TINY_COMPLETION_INI.replace("zeta = 0.1", "zeta = 5000"),
+         "zeta must be >= 0 and below the hidden magnitude 1000*rho_over_n"),
+        ("pca_r_zero", "[pca_n_sweep]\nn_grid = 20\nr = 0\nalpha = 0.8\n", "need 1 <= r <= n"),
+        ("pca_l_scale_above_one",
+         "[pca_alpha_sweep]\nalpha_grid = 0.8\nn = 20\nr = 1\nl_scale = 1.5\n",
+         "l_scale must lie in (0, 1]"),
+        ("pca_negative_rho",
+         "[pca_alpha_sweep]\nalpha_grid = 0.8\nn = 20\nr = 1\nrho_over_n = -1.0\n",
+         "rho_over_n must be positive"),
+        ("design_without_inliers",
+         "[regression_gaussian_design]\nn_grid = 50\nd = 8\nk = 2\nalpha = 0.01\n",
+         "alpha*n must be >= 1"),
+        ("gaussian_zeta_zero", TINY_REGRESSION_INI + "noise_family = gaussian\nzeta = 0.0\n",
+         "gaussian family needs zeta > 0 when alpha < 1"),
+        # the CSV's directory is checked before the first trial, not after the run
+        ("missing_dir/out", TINY_REGRESSION_INI, "cannot write CSV"),
     ],
 )
 def test_cli_sweep_rejects_bad_config_at_load(tmp_path, capsys, name, ini, message):
-    cfg = write_config(tmp_path, f"{name}.ini", ini)
+    cfg = write_config(tmp_path, "config.ini", ini)
     out = tmp_path / f"{name}.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [Path(cfg)]  # no CSV, report or plot
     err = capsys.readouterr().err
+    # a trial that ran would have printed its progress line first
     assert err.startswith("configuration error:") and message in err
 
 

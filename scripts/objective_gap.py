@@ -8,8 +8,11 @@ same configs).  CONFIG defaults to every ``configs/*.ini``.  For each config,
 trial 0 of every grid point is solved twice from the same start: once with
 the config's solver settings, and once as a reference at ``rel_tol`` 1e-12
 for FISTA (regression) or 1e-9 for the splitting (PCA, phase, matrix
-completion), with ``max_iters`` REFERENCE_MAX_ITERS.  It prints one line per
-config:
+completion), with ``max_iters`` REFERENCE_MAX_ITERS.  The FISTA reference
+solves the regression composite without its Newton step
+(``CompositeProblem.newton_step``), so the optimum a stop is measured
+against is one that step did not compute; a package without that field
+solves it as it is.  It prints one line per config:
 
 - ``solves``: the grid points solved;
 - ``gap_median``, ``gap_max``: the median and the maximum over the solves of
@@ -42,6 +45,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from robust_huber import RegressionProblem, SolverConfig  # noqa: E402
+from robust_huber.estimators import build_regression_composite  # noqa: E402
 from robust_huber.experiments import ExperimentSpec, build_instance, solve_instance  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -54,6 +58,18 @@ WIDTHS = (28, 6, 6, 10, 10, 7, 9, 5, 10)
 
 def _relative(a: float, b: float) -> float:
     return abs(a - b) / abs(b) if b else (0.0 if a == b else float("inf"))
+
+
+def _reference_composite(spec, problem):
+    """The objective a FISTA reference solves: the regression composite with
+    no Newton step, or None (the estimator builds its own) for the
+    splitting."""
+    if not isinstance(problem, RegressionProblem):
+        return None
+    composite, _ = build_regression_composite(problem, spec.constants)
+    if hasattr(composite, "newton_step"):
+        composite.newton_step = None
+    return composite
 
 
 def audit(path: Path) -> dict:
@@ -69,7 +85,8 @@ def audit(path: Path) -> dict:
         kind = "fista" if isinstance(problem, RegressionProblem) else "split"
         reference = SolverConfig(REFERENCE_MAX_ITERS[kind], REFERENCE_TOL[kind])
         stop, errors = solve_instance(spec, problem)
-        ref, ref_errors = solve_instance(dataclasses.replace(spec, solver=reference), problem)
+        ref, ref_errors = solve_instance(dataclasses.replace(spec, solver=reference), problem,
+                                         _reference_composite(spec, problem))
         gaps.append((stop.objective - ref.objective) / abs(ref.objective))
         iters += stop.iterations
         ref_iters += ref.iterations

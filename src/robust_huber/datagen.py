@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import PcaProblem, RegressionProblem
+from .estimators import PcaProblem, RegressionProblem, _check_regression_d
 
 __all__ = [
     "NOISE_FAMILIES",
@@ -328,7 +328,9 @@ def make_regression_instance(
 
 
 def check_regression_instance(n: int, d: int, signal: SignalSpec, noise: NoiseSpec) -> None:
-    """Raise ValueError where make_regression_instance would; draws nothing."""
+    """Raise ValueError where make_regression_instance, or the estimator's
+    composite, would; draws nothing."""
+    _check_regression_d(d)
     _check_signal(d, signal)
     _check_noise_vector(n, noise)
 

@@ -20,7 +20,11 @@ there.
 Both composites have the form f(x) = loss(A x) of solver.CompositeProblem.
 The regression image is beta -> X beta and its adjoint D -> D X, so that a
 FISTA iteration reads X twice: once for the candidate's image and once for
-the two-row adjoint product.  The matrix problem's maps are the identity.
+the two-row adjoint product.  The regression composite also carries the
+Newton step on the active set that solve_fista tries once the signs of the
+iterate hold (_active_set_newton): it reads the columns of the support on
+the rows in the Huber quadratic zone and solves one |S| x |S| system.  The
+matrix problem's maps are the identity, and it has no Newton step.
 Each smooth evaluation takes the Huber value and gradient from one clip
 (huber.huber_loss_and_grad).
 """
@@ -179,12 +183,45 @@ def _huber_value_and_neg_clip(resid, params):
     return value, np.negative(clip, out=clip)
 
 
+def _check_regression_d(d: int) -> None:
+    """The regression estimator's one rule on the dimension, which
+    datagen.check_regression_instance runs at load: d >= 2, since gamma
+    scales with sqrt(log d)."""
+    if d < 2:
+        raise ValueError("regression requires d >= 2")
+
+
+def _active_set_newton(X, h, gamma):
+    """The Newton step of the regression objective on the active set of x:
+    with S the support of x and Q = {i : |r_i| < h} (the residuals r in the
+    Huber quadratic zone, read off the clip -d), the objective is quadratic
+    in x_S while S's signs and Q hold, and its minimiser there is x_S - delta
+    with (X_QS^T X_QS) delta = g_S + gamma sign(x_S), zero off S.  None where
+    that system is singular, which includes |Q| < |S|."""
+
+    def newton_step(x, d, g):
+        support = np.flatnonzero(x)
+        quad = np.abs(d) < h
+        if support.size == 0 or np.count_nonzero(quad) < support.size:
+            return None
+        x_qs = X[np.ix_(quad, support)]
+        try:
+            delta = np.linalg.solve(x_qs.T @ x_qs, g[support] + gamma * np.sign(x[support]))
+        except np.linalg.LinAlgError:
+            return None
+        point = np.zeros_like(x)
+        point[support] = x[support] - delta
+        return point
+
+    return newton_step
+
+
 def build_regression_composite(
     problem: RegressionProblem, constants: EstimatorConstants
 ) -> tuple[CompositeProblem, dict]:
-    """Composite objective for the regression estimator plus its constants."""
-    if problem.d < 2:
-        raise ValueError("regression requires d >= 2")
+    """Composite objective for the regression estimator plus its constants,
+    with the active-set Newton step that solve_fista tries."""
+    _check_regression_d(problem.d)
     X, y = problem.X, problem.y
     n, d = X.shape
     h = constants.huber_h_override or problem.default_huber_h
@@ -202,6 +239,7 @@ def build_regression_composite(
         lipschitz=lipschitz,
         image=lambda beta: X @ beta,
         adjoint=lambda D: D @ X,
+        newton_step=_active_set_newton(X, h, gamma),
     )
     info = {"gamma": gamma, "h": h}
     return composite, info

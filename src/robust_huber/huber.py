@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prox import _finite_array
+
 __all__ = [
     "HuberParams",
     "huber_penalty",
@@ -35,13 +37,6 @@ class HuberParams:
             raise ValueError(f"huber transition h must be finite and positive, got {h!r}")
 
 
-def _check_finite(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def _penalty_and_clip(r, h):
     """The entrywise penalty (0.5 c) c + h |r - c| and the clip c = clip(r, -h, h),
     evaluated in place after the clip."""
@@ -60,7 +55,7 @@ def huber_penalty(t, params: HuberParams):
     Evaluated as c^2/2 + h*|t - c| with c = clip(t, -h, h), which agrees with
     both branches and never squares a large argument.
     """
-    out, _ = _penalty_and_clip(_check_finite(t, "t"), params.h)
+    out, _ = _penalty_and_clip(_finite_array(t, "t"), params.h)
     return float(out) if out.ndim == 0 else out
 
 
@@ -80,13 +75,13 @@ def huber_loss(residuals, params: HuberParams) -> float:
 
 def huber_loss_grad(residuals, params: HuberParams):
     """Entrywise penalty derivative, same shape as the input."""
-    r = _check_finite(residuals, "residuals")
+    r = _finite_array(residuals, "residuals")
     return np.clip(r, -params.h, params.h)
 
 
 def huber_loss_and_grad(residuals, params: HuberParams):
     """(huber_loss(r), huber_loss_grad(r)) from one finiteness check and one clip."""
-    out, c = _penalty_and_clip(_check_finite(residuals, "residuals"), params.h)
+    out, c = _penalty_and_clip(_finite_array(residuals, "residuals"), params.h)
     return float(np.sum(out)), c
 
 
@@ -99,11 +94,11 @@ def curvature_lower_bound_holds(eta, delta, tau, params: HuberParams):
     exact on the quadratic branch.
     """
     h = params.h
-    tau_arr = _check_finite(tau, "tau")
+    tau_arr = _finite_array(tau, "tau")
     if np.any(tau_arr < 0) or np.any(tau_arr > h):
         raise ValueError(f"tau must lie in [0, h]; got tau={tau!r} with h={h}")
-    eta = _check_finite(eta, "eta")
-    delta = _check_finite(delta, "delta")
+    eta = _finite_array(eta, "eta")
+    delta = _finite_array(delta, "delta")
     lhs = (
         huber_penalty(eta + delta, params)
         - huber_penalty(eta, params)

@@ -966,7 +966,11 @@ def test_cli_solve(tmp_path, capsys):
     assert "prediction_error_sq = " in printed
     assert "\nconverged = 1\n" in printed
     assert "\nstop_reason = tolerance\n" in printed
-    assert "\nrejected = 0\n" in printed  # FISTA takes no Anderson step
+    # the Newton steps that trial 0's FISTA solve refused
+    spec = ExperimentSpec.from_config(cfg)
+    _, _, p, seed = next(spec.trials())
+    result, _, _ = run_trial(spec, p, seed)
+    assert f"\nrejected = {result.rejected}\n" in printed
     assert "\ndominated = " in printed
     assert est.exists()
 
@@ -1161,6 +1165,8 @@ def test_cli_verify_without_alpha(tmp_path):
          "alpha must lie in (0, 1]"),
         ("k_zero", TINY_REGRESSION_INI.replace("k = 2", "k = 0"), "k must be >= 1"),
         ("k_above_d", TINY_REGRESSION_INI.replace("k = 2", "k = 9"), "k cannot exceed d"),
+        ("d_one", TINY_REGRESSION_INI.replace("d = 8\nk = 2", "d = 1\nk = 1"),
+         "regression requires d >= 2"),
         ("negative_zeta", TINY_REGRESSION_INI + "zeta = -1.0\n", "zeta must be >= 0"),
         ("negative_magnitude", TINY_REGRESSION_INI.replace("magnitude = 3.0", "magnitude = -1.0"),
          "magnitude must be positive"),

@@ -201,6 +201,13 @@ def test_fista_reports_convergence():
     assert capped.rejected == done.rejected == 0  # no Anderson step in FISTA
 
 
+def _gradient_path(composite):
+    """The composite without its Newton step, so that solve_fista runs the
+    prox-gradient iterations alone: the tests that pin their structure per
+    iteration solve this."""
+    return replace(composite, newton_step=None)
+
+
 def _regression_instance(seed=71):
     problem = make_regression_instance(
         300, 40, SignalSpec(4, 1.5), NoiseSpec("symmetric_mixture", 0.6), seed=seed
@@ -213,7 +220,7 @@ def test_fista_reads_the_design_twice_per_iteration(lipschitz_scale):
     # one image call per candidate (plus one at the start) and one adjoint
     # call per iteration (plus one at the start), on a stack of two rows
     problem, constants = _regression_instance()
-    composite, _ = build_regression_composite(problem, constants)
+    composite = _gradient_path(build_regression_composite(problem, constants)[0])
     composite.lipschitz *= lipschitz_scale
     image, adjoint, prox = composite.image, composite.adjoint, composite.prox
     images, adjoint_rows, prox_calls = [], [], []
@@ -249,6 +256,7 @@ def test_fista_image_formulation_matches_plain_gradient_formulation():
     # adjoint D X) and through a plain smooth_eval(b) with identity maps
     problem, constants = _regression_instance(seed=72)
     composite, info = build_regression_composite(problem, constants)
+    composite = _gradient_path(composite)
     plain = regression_composite(problem.X, problem.y, info["h"], info["gamma"],
                                  composite.lipschitz)
     config = SolverConfig(rel_tol=1e-9)
@@ -321,6 +329,7 @@ def test_fista_gradient_form_majorization_prevents_the_stall(monkeypatch):
     # gradient form refuses it.  With function values only, this solve took
     # 494 iterations, against 16 with the gradient form.
     composite, config, start = _demo_gaussian_design_case(1000, 0)
+    composite = _gradient_path(composite)
     real = solve_fista(composite, config, start)
     assert real.converged and real.iterations <= 25
 
@@ -383,7 +392,7 @@ def test_fista_restart_keeps_the_step_in_force(monkeypatch):
     # first trial, and the step itself at a restart (an iteration's second
     # call), not a shrunk one
     problem, constants = _regression_instance()
-    composite, _ = build_regression_composite(problem, constants)
+    composite = _gradient_path(build_regression_composite(problem, constants)[0])
     result, iterations, rules = _recorded_fista(monkeypatch, composite,
                                                 SolverConfig(rel_tol=1e-9))
     assert result.converged
@@ -402,7 +411,7 @@ def test_fista_gradient_restart_resets_the_momentum(monkeypatch):
     # against the last move, <y - x+, x+ - x> > 0, the next extrapolated
     # point is x+ itself: the momentum is reset to 1
     problem, constants = _regression_instance()
-    composite, _ = build_regression_composite(problem, constants)
+    composite = _gradient_path(build_regression_composite(problem, constants)[0])
     result, iterations, _ = _recorded_fista(monkeypatch, composite,
                                             SolverConfig(rel_tol=1e-9))
     assert result.converged
@@ -426,10 +435,9 @@ def test_fista_spectral_trial_no_slower_on_a_correlated_design(monkeypatch):
     # rel_tol 1e-7 both rules stop 2e-11 to 4e-10 above the optimum on this
     # design, so the objectives are compared at 1e-9 (890 iterations against
     # 3,626 when measured)
-    sigma = 0.99 ** np.abs(np.subtract.outer(np.arange(100), np.arange(100)))
-    problem = make_regression_instance(500, 100, SignalSpec(5, 3.0),
-                                       NoiseSpec("symmetric_mixture", 0.5), 1, sigma=sigma)
+    problem = _toeplitz_instance(1)
     composite, _ = build_regression_composite(problem, EstimatorConstants(gamma_scale=0.2))
+    composite = _gradient_path(composite)
     config = SolverConfig(rel_tol=1e-9)
     spectral = solve_fista(composite, config, np.zeros(problem.d))
     monkeypatch.setattr(solver, "_trial_step", lambda step, dx, dg: solver.STEP_GROWTH * step)
@@ -437,6 +445,113 @@ def test_fista_spectral_trial_no_slower_on_a_correlated_design(monkeypatch):
     assert spectral.converged and grown.converged
     assert spectral.iterations <= grown.iterations
     assert spectral.objective == pytest.approx(grown.objective, rel=1e-12, abs=0)
+
+
+def _toeplitz_instance(seed, rho=0.99, n=500, d=100):
+    sigma = rho ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    return make_regression_instance(n, d, SignalSpec(5, 3.0),
+                                    NoiseSpec("symmetric_mixture", 0.5), seed, sigma=sigma)
+
+
+def test_newton_step_solves_the_normal_equations_on_the_support():
+    # with h beyond every residual the loss is quadratic everywhere, so the
+    # step from x lands where X_S^T X_S b_S = X_S^T y - gamma sign(x_S)
+    problem, _ = _regression_instance(seed=74)
+    constants = EstimatorConstants(gamma_scale=0.5, huber_h_override=1e6)
+    composite, info = build_regression_composite(problem, constants)
+    support = np.array([1, 4, 7, 20])
+    x = np.zeros(problem.d)
+    x[support] = [0.3, -1.2, 2.0, -0.1]
+    a = composite.image(x)
+    _, d = composite.smooth_eval(a)
+    assert np.all(np.abs(problem.y - a) < info["h"])
+    point = composite.newton_step(x, d, composite.adjoint(d))
+    X_s = problem.X[:, support]
+    expected = np.linalg.solve(X_s.T @ X_s, X_s.T @ problem.y - info["gamma"] * np.sign(x[support]))
+    np.testing.assert_allclose(point[support], expected, rtol=1e-10, atol=0)
+    assert np.count_nonzero(point) == support.size  # zero off the support
+
+
+def test_newton_step_is_none_for_an_empty_or_underdetermined_support():
+    problem, constants = _regression_instance(seed=74)
+    composite, info = build_regression_composite(problem, constants)
+    x = np.zeros(problem.d)
+    _, d = composite.smooth_eval(composite.image(x))
+    assert composite.newton_step(x, d, composite.adjoint(d)) is None
+    # every residual beyond h: no row is in the quadratic zone
+    saturated = np.full(problem.n, info["h"])
+    x[3] = 1.0
+    assert composite.newton_step(x, saturated, composite.adjoint(saturated)) is None
+
+
+@pytest.mark.parametrize("proposal", ["flips_a_sign", "raises_the_objective"])
+def test_fista_refuses_and_counts_a_bad_newton_point(proposal):
+    # a refused point leaves the iterates alone: the solve ends where the
+    # prox-gradient iterations alone end, one iteration later per try
+    problem, constants = _regression_instance()
+    composite, _ = build_regression_composite(problem, constants)
+    config = SolverConfig(rel_tol=1e-9)
+    images = {"plain": 0, "refusing": 0}
+    tries = []
+
+    def counting_image(key):
+        def image(x):
+            images[key] += 1
+            return composite.image(x)
+        return image
+
+    def bad_point(x, d, g):
+        tries.append(1)
+        return -x if proposal == "flips_a_sign" else 10.0 * x
+
+    plain = solve_fista(replace(composite, newton_step=None, image=counting_image("plain")),
+                        config, np.zeros(problem.d))
+    result = solve_fista(replace(composite, newton_step=bad_point,
+                                 image=counting_image("refusing")), config, np.zeros(problem.d))
+    assert tries and result.rejected == len(tries)
+    assert result.iterations == plain.iterations + len(tries)
+    assert np.array_equal(result.point, plain.point) and result.objective == plain.objective
+    # a sign change is refused before the image is taken, a rise after it
+    taken = 0 if proposal == "flips_a_sign" else len(tries)
+    assert images["refusing"] == images["plain"] + taken
+
+
+def test_fista_objective_never_rises_on_the_accept04_instances():
+    # the max_iters = k solve is the first k iterations of the full one; a
+    # kept Newton step, like a prox-gradient iteration, never raises the
+    # objective beyond RESTART_MARGIN times its size
+    kept = 0
+    for name in ("accept04_regression_n.ini", "accept04_regression_alpha.ini"):
+        spec = ExperimentSpec.from_config(CONFIG_DIR / name)
+        for _, trial, p, seed in spec.trials():
+            if trial != 0:
+                continue
+            problem = build_instance(spec, p, seed)
+            composite, _ = build_regression_composite(problem, spec.constants)
+            start = np.zeros(problem.d)
+            full = solve_fista(composite, spec.solver, start)
+            plain = solve_fista(_gradient_path(composite), spec.solver, start)
+            kept += full.iterations - full.rejected < plain.iterations
+            h = np.array([
+                solve_fista(composite, replace(spec.solver, max_iters=k), start).objective
+                for k in range(1, full.iterations + 1)
+            ])
+            assert h[-1] == full.objective
+            assert np.all(np.diff(h) <= solver.RESTART_MARGIN * np.abs(h[:-1]))
+    assert kept > 0  # the Newton step cut the prox-gradient iterations somewhere
+
+
+def test_fista_stop_on_an_ill_conditioned_design_lands_at_the_optimum():
+    # Toeplitz rho = 0.99: the prox-gradient iterations alone stopped 8.8e-10
+    # above the optimum at rel_tol 1e-7; the Newton step lands on it once the
+    # support has settled.  The reference solves without the Newton step.
+    composite, _ = build_regression_composite(_toeplitz_instance(2),
+                                              EstimatorConstants(gamma_scale=0.2))
+    start = np.zeros(composite.shape)
+    reference = solve_fista(_gradient_path(composite), SolverConfig(200_000, 1e-13), start)
+    result = solve_fista(composite, SolverConfig(rel_tol=1e-7), start)
+    assert reference.converged and result.converged
+    assert result.objective - reference.objective <= 1e-13 * abs(reference.objective)
 
 
 # ---------------------------------------------------------------------------

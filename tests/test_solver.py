@@ -1,6 +1,7 @@
 """Solver tests: closed-form and grid-search oracles, monotonicity,
-feasibility, determinism, FISTA's growing step and its stopping residual, the
-adaptive splitting step, and the reference-domination certificate."""
+feasibility, determinism, FISTA's growing step, its Newton step on the active
+set and its stopping residual, the adaptive splitting step, and the
+reference-domination certificate."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -520,7 +521,7 @@ def test_fista_objective_never_rises_on_the_accept04_instances():
     # the max_iters = k solve is the first k iterations of the full one; a
     # kept Newton step, like a prox-gradient iteration, never raises the
     # objective beyond RESTART_MARGIN times its size
-    kept = 0
+    shortened = 0
     for name in ("accept04_regression_n.ini", "accept04_regression_alpha.ini"):
         spec = ExperimentSpec.from_config(CONFIG_DIR / name)
         for _, trial, p, seed in spec.trials():
@@ -531,14 +532,14 @@ def test_fista_objective_never_rises_on_the_accept04_instances():
             start = np.zeros(problem.d)
             full = solve_fista(composite, spec.solver, start)
             plain = solve_fista(_gradient_path(composite), spec.solver, start)
-            kept += full.iterations - full.rejected < plain.iterations
+            shortened += full.iterations - full.rejected < plain.iterations
             h = np.array([
                 solve_fista(composite, replace(spec.solver, max_iters=k), start).objective
                 for k in range(1, full.iterations + 1)
             ])
             assert h[-1] == full.objective
             assert np.all(np.diff(h) <= solver.RESTART_MARGIN * np.abs(h[:-1]))
-    assert kept > 0  # the Newton step cut the prox-gradient iterations somewhere
+    assert shortened > 0  # a kept Newton step cut the iterations somewhere
 
 
 def test_fista_stop_on_an_ill_conditioned_design_lands_at_the_optimum():

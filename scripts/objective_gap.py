@@ -23,7 +23,10 @@ solves it as it is.  It prints one line per config:
 - ``caps``: the stops and the references that ran out of iterations, so a
   gap whose reference hit its cap bounds nothing;
 - ``error_move``: the largest |e_stop - e_ref| / |e_ref| over the solves and
-  their error metrics (prediction and parameter error, Frobenius error).
+  their error metrics (prediction and parameter error, Frobenius error);
+- ``refused``: the points the stops' safeguards refused
+  (``SolveResult.rejected``: the splitting's Anderson points, FISTA's Newton
+  steps), summed over the solves.
 
 The output holds no timing and OpenBLAS runs one thread (unless
 OPENBLAS_NUM_THREADS is set), so two runs on one machine print the same
@@ -52,8 +55,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_TOL = {"fista": 1e-12, "split": 1e-9}
 REFERENCE_MAX_ITERS = {"fista": 200_000, "split": 5_000}
 COLUMNS = ("config", "solver", "solves", "gap_median", "gap_max", "iters", "ref_iters",
-           "caps", "error_move")
-WIDTHS = (28, 6, 6, 10, 10, 7, 9, 5, 10)
+           "caps", "error_move", "refused")
+WIDTHS = (28, 6, 6, 10, 10, 7, 9, 5, 10, 7)
 
 
 def _relative(a: float, b: float) -> float:
@@ -75,7 +78,7 @@ def _reference_composite(spec, problem):
 def audit(path: Path) -> dict:
     """The audit line of one config, as a dict keyed by COLUMNS."""
     spec = ExperimentSpec.from_config(path)
-    gaps, iters, ref_iters, moves = [], 0, 0, [0.0]
+    gaps, iters, ref_iters, refused, moves = [], 0, 0, 0, [0.0]
     caps = [0, 0]
     kind = None
     for _, trial, p, seed in spec.trials():
@@ -90,6 +93,7 @@ def audit(path: Path) -> dict:
         gaps.append((stop.objective - ref.objective) / abs(ref.objective))
         iters += stop.iterations
         ref_iters += ref.iterations
+        refused += stop.rejected
         caps[0] += not stop.converged
         caps[1] += not ref.converged
         moves += [_relative(errors[name], ref_errors[name]) for name in errors]
@@ -103,6 +107,7 @@ def audit(path: Path) -> dict:
         "ref_iters": ref_iters,
         "caps": f"{caps[0]}/{caps[1]}",
         "error_move": f"{max(moves):.2g}",
+        "refused": refused,
     }
 
 

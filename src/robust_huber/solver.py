@@ -18,8 +18,9 @@ SolveResult contract:
 * solve_split: three-operator splitting (gradient step on the smooth part,
   proximal step on the regularizer, projection onto the box). For the
   box-constrained nuclear-penalized problem. Its step adapts during the
-  solve by residual balancing, a safeguarded Anderson step accelerates its
-  fixed-point map, and it returns its last feasible iterate.
+  solve by residual balancing, a safeguarded Anderson step of memory
+  ANDERSON_MEMORY, kept in fixed buffers, accelerates its fixed-point map,
+  and it returns its last feasible iterate.
 
 Both take their first step, and solve_split its largest, as 1/lipschitz from
 the CompositeProblem: the step belongs to the problem, not to the config.
@@ -76,10 +77,13 @@ BALANCE_RATIO = 3.0
 STEP_FACTOR = 2.0
 MAX_STEP_CHANGES = 20
 
-# The Anderson step of the splitting (type II, memory 1; Fu, Zhang & Boyd,
-# arXiv:1908.11482) is kept only while the primal residual at the point it
-# proposes is at most SAFEGUARD_FACTOR times the residual of the point it
-# was extrapolated from (after Zhang, O'Donoghue & Boyd, arXiv:1808.03971).
+# The Anderson step of the splitting (type II, memory ANDERSON_MEMORY; Fu,
+# Zhang & Boyd, arXiv:1908.11482) is kept only while the primal residual at
+# the point it proposes is at most SAFEGUARD_FACTOR times the residual of the
+# point it was extrapolated from (after Zhang, O'Donoghue & Boyd,
+# arXiv:1808.03971).  Each unit of memory holds two arrays of the iterate's
+# shape.
+ANDERSON_MEMORY = 3
 SAFEGUARD_FACTOR = 2.0
 
 
@@ -424,13 +428,17 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     A change rescales z about x_b, which keeps x_b and the box multiplier
     (z - x_b)/step.
 
-    The next z is the Anderson point T z - gamma (T z - T z_prev), where f =
-    x_a - x_b and gamma = <df, f>/<df, df> with df = f - f_prev.  An Anderson
-    point whose primal residual exceeds SAFEGUARD_FACTOR times that of the
-    point it came from is rejected: the solve goes back to the plain image T z
-    of that point.  A rejection and a step change (which changes the map)
-    clear the memory, and the step after a clear is the plain one.  Every
-    evaluation, rejected or not, is one iteration and one prox call.
+    The next z is the type-II Anderson point of memory m = ANDERSON_MEMORY,
+    T z - dG gamma, where f = x_a - x_b, the columns of dF and dG are the
+    differences of f and of T z over the last m + 1 accepted evaluations
+    (fewer after a clear), and gamma minimises ||f - dF gamma||
+    (_AndersonHistory).  An Anderson point whose primal residual exceeds
+    SAFEGUARD_FACTOR times that of the point it came from is rejected: the
+    solve goes back to the plain image T z of that point.  A rejection and a
+    step change (which changes the map) clear the memory, and the step after
+    a clear, like one whose gamma cannot be solved for, is the plain one.
+    Every evaluation, rejected or not, is one iteration and one prox call.
+    The memory's 2m arrays are allocated once, at its first use.
 
     Stops when ||x_a - x_b|| / (step * max(1, ||x_b||)) <= rel_tol.  Returns
     the last box projection x_b = project(T z), which the splitting converges
@@ -445,10 +453,9 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     max_step = _max_step(problem)
     step = max_step
     step_changes = 0
-    # the Anderson memory: the last residual f and plain image T z, None while
-    # clear; and the primal residual of the point that z was extrapolated
-    # from, None while z is a plain image
-    f_prev = tz_prev = primal_from = None
+    # the Anderson memory, None until its first use; and the primal residual
+    # of the point that z was extrapolated from, None while z is a plain image
+    history = primal_from = None
     rejected = 0
 
     x_b = project_maxnorm(z, ball)
@@ -471,17 +478,20 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         if accepted:
             residual = primal / (step * max(1.0, float(np.linalg.norm(x_b.ravel()))))
             z += f  # T z
-            if f_prev is None:
-                tz_prev = z.copy()
-            elif residual > config.rel_tol:
-                z, tz_prev, extrapolated = _anderson_step(z, f, f_prev, tz_prev)
-                if extrapolated:
-                    primal_from = primal
-            f_prev = f
+            if residual > config.rel_tol:
+                if history is None:
+                    history = _AndersonHistory(z.shape, ANDERSON_MEMORY)
+                if history.pairs:
+                    z, extrapolated = history.step(f, z)
+                    if extrapolated:
+                        primal_from = primal
+                else:
+                    history.hold(f, z)
         else:
             # back to the plain image of the point the refused one came from
             rejected += 1
-            z, f_prev, tz_prev = tz_prev, None, None
+            z = history.restore(z)
+        del f  # the history holds its own copy: free this one before the next prox call
         x_next = project_maxnorm(z, ball)
         dual = float(np.linalg.norm((x_next - x_b).ravel())) / step
         x_b = x_next
@@ -505,7 +515,8 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
                 z += x_b
                 step = new_step
                 step_changes += 1
-                f_prev = tz_prev = primal_from = None
+                primal_from = None
+                history.clear()
 
     stop_reason = "tolerance" if residual <= config.rel_tol else "cap"
     return SolveResult(x_b, f_b + problem.reg_value(x_b), iterations, residual, stop_reason,
@@ -517,24 +528,101 @@ def _value_and_grad(problem, x):
     return f, problem.adjoint(d)
 
 
-def _anderson_step(tz, f, f_prev, tz_prev):
-    """Type-II Anderson step of memory 1 from the plain image tz = T z with
-    residual f, given the previous pair (f_prev, tz_prev).
+class _AndersonHistory:
+    """The memory of solve_split's type-II Anderson step: 2 * memory arrays
+    of the iterate's shape, allocated at construction.
 
-    Returns (next z, the plain image T z, whether the next z is extrapolated):
-    tz - gamma (tz - tz_prev) with gamma = <df, f>/<df, df>, df = f - f_prev,
-    or tz itself when df = 0.  Writes into the buffers of f_prev and tz_prev,
-    so the step costs no array beyond the two it keeps.
+    It holds the last `pairs` accepted pairs (f, T z), 0 while clear.  The
+    last pair sits in slot `head` of the buffers df and dg; the differences
+    of consecutive pairs, newest first, sit in the slots before it (mod m).
+    gram[i, j] = <df[i], df[j]> and rhs[j] = <df[j], f> over the held
+    differences are kept incrementally: a step adds the products of its new
+    difference with the held ones and with f, m + 1 at most, and re-reads no
+    other array.
     """
-    df = np.subtract(f, f_prev, out=f_prev)
-    dg = np.subtract(tz, tz_prev, out=tz_prev)
-    df_df = float(np.vdot(df, df))
-    if not df_df > 0:
-        np.copyto(dg, tz)
-        return tz, dg, False
-    dg *= -float(np.vdot(df, f)) / df_df
-    dg += tz
-    return dg, tz, True
+
+    def __init__(self, shape, memory):
+        self.df = [np.empty(shape) for _ in range(memory)]
+        self.dg = [np.empty(shape) for _ in range(memory)]
+        self.gram = np.zeros((memory, memory))
+        self.rhs = np.zeros(memory)
+        self.head = 0
+        self.pairs = 0
+
+    def clear(self):
+        self.pairs = 0
+
+    def hold(self, f, tz):
+        """Clear the memory and hold (f, tz) as its one pair."""
+        np.copyto(self.df[self.head], f)
+        np.copyto(self.dg[self.head], tz)
+        self.pairs = 1
+
+    def restore(self, z):
+        """Clear the memory and return the last pair's plain image; the
+        buffer of z takes its slot."""
+        tz, self.dg[self.head] = self.dg[self.head], z
+        self.clear()
+        return tz
+
+    def step(self, f, tz):
+        """The next z after the plain image tz = T z with residual f, and
+        whether it is extrapolated; needs a held pair.
+
+        The next z is tz - dG gamma, written in a buffer of the memory, which
+        then holds tz itself (not a copy) as its last pair.  Where gamma
+        cannot be solved for, it is tz, and (f, tz) becomes the one pair
+        held.  With memory 1 this is Tz - gamma (Tz - Tz_prev), gamma =
+        <df, f>/<df, df>.
+        """
+        held = self._extend(f, tz)
+        gamma = self._coefficients(held)
+        memory = len(self.df)
+        self.head = slot = (self.head + 1) % memory
+        out, scratch = self.dg[slot], self.df[slot]
+        if gamma is None:
+            np.copyto(out, tz)
+            np.copyto(scratch, f)
+            self.pairs = 1
+            return tz, False
+        if len(held) == memory:  # slot holds the oldest difference, last in held
+            out *= -gamma[-1]
+            out += tz
+            held, gamma = held[:-1], gamma[:-1]
+        else:
+            np.copyto(out, tz)
+        for j, coefficient in zip(held, gamma):
+            np.multiply(self.dg[j], coefficient, out=scratch)
+            out -= scratch
+        np.copyto(scratch, f)
+        self.dg[slot] = tz
+        self.pairs = min(self.pairs + 1, memory)
+        return out, True
+
+    def _extend(self, f, tz):
+        """Turn the last pair into the differences to (f, tz) and bring gram
+        and rhs up to date; returns the slots of the differences, newest
+        first."""
+        memory, head = len(self.df), self.head
+        df = np.subtract(f, self.df[head], out=self.df[head])
+        np.subtract(tz, self.dg[head], out=self.dg[head])
+        held = [(head - i) % memory for i in range(self.pairs)]
+        for j in held:
+            self.gram[head, j] = self.gram[j, head] = float(np.vdot(df, self.df[j]))
+        # <df_j, f> = <df_j, f_prev> + <df_j, df> for the older differences
+        self.rhs[held[1:]] += self.gram[held[1:], head]
+        self.rhs[head] = float(np.vdot(df, f))
+        return held
+
+    def _coefficients(self, held):
+        """gamma over the differences in slots held, from the normal equations
+        gram gamma = rhs, or None where they are singular or gamma is not
+        finite."""
+        try:
+            gamma = np.linalg.solve(self.gram[np.ix_(held, held)], self.rhs[held])
+        except np.linalg.LinAlgError:
+            return None
+        return gamma if np.all(np.isfinite(gamma)) else None
 
 
 def certify_against_reference(problem: CompositeProblem, candidate, reference) -> bool:

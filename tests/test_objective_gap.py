@@ -51,7 +51,7 @@ def test_objective_gap_prints_the_same_bytes_twice(tmp_path):
     assert _audit(paths) == first
     header, *lines = first.decode().splitlines()
     assert header.split() == ["config", "solver", "solves", "gap_median", "gap_max", "iters",
-                              "ref_iters", "caps", "error_move"]
+                              "ref_iters", "caps", "error_move", "refused"]
     rows = {line.split()[0]: line.split() for line in lines}
     assert set(rows) == {"tiny_regression", "tiny_completion"}
     # trial 0 of each grid point only
@@ -60,4 +60,5 @@ def test_objective_gap_prints_the_same_bytes_twice(tmp_path):
     for row in rows.values():
         assert row[7] == "0/0"  # neither the stops nor the references hit a cap
         assert int(row[6]) >= int(row[5]) > 0  # the reference runs at least as long
+        assert row[9].isdigit()  # the refused points: a non-negative integer
     assert abs(float(rows["tiny_regression"][4])) <= 1e-12

@@ -1,7 +1,7 @@
 """Solver tests: closed-form and grid-search oracles, monotonicity,
 feasibility, determinism, FISTA's growing step, its Newton step on the active
-set and its stopping residual, the adaptive splitting step, and the
-reference-domination certificate."""
+set and its stopping residual, the adaptive splitting step and its Anderson
+memory, and the reference-domination certificate."""
 
 import copy
 import tracemalloc

@@ -6,11 +6,13 @@ Run from the repository root.  Each revision is exported with ``git archive``
 (``bench_pairs.export``).  In one subprocess per revision, with
 ``OPENBLAS_NUM_THREADS=1``, every config under that revision's ``configs/``
 runs serially, trimmed to trial 0 of every grid point at seed 7, and writes
-its CSV; a ``meta_certificate`` config also writes the certificate report of
-its first instance (``<config>.report``, the report ``robust-huber verify``
-prints, without the note it adds on a vacuous radius).  The script then
-lists each CSV and report as ``identical``, ``differs``, or missing on one
-side (a config that failed to run, or exists in one revision only), and
+its CSV and its sweep report (``<config>.txt``, the report ``robust-huber
+sweep`` writes beside its CSV: per-point medians, log-log slopes and the
+PASS/FAIL lines); a ``meta_certificate`` config also writes the certificate
+report of its first instance (``<config>.report``, the report ``robust-huber
+verify`` prints, without the note it adds on a vacuous radius).  The script
+then lists each CSV and report as ``identical``, ``differs``, or missing on
+one side (a config that failed to run, or exists in one revision only), and
 exits 0 only if all are identical.
 Under each file that differs it prints the first differing line of each
 side, which names the grid point and trial, or the report field, that moved,
@@ -18,10 +20,13 @@ and the largest relative difference |head - base| / |base| of each numeric
 column (each numeric field of a report), which shows how far results moved.
 
 A result-neutral change (a refactor, a speedup that must not move any
-iterate) should leave every line ``identical``.  The trimmed runs reach every
-scenario's code path and every grid point (each phase alpha, each
-certificate instance) in about 25 s per revision on two cores; they do not
-replace the full sweeps.
+iterate) should leave every line ``identical``.  A revision whose sweep
+report still has its ``total solve time`` line (837adde and earlier) writes
+there a time that changes from run to run, so against such a base every
+``.txt`` differs in that line, and only there if the results agree.  The
+trimmed runs reach every scenario's code path and every grid point (each
+phase alpha, each certificate instance) in about 25 s per revision on two
+cores; they do not replace the full sweeps.
 """
 
 from __future__ import annotations
@@ -40,19 +45,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export  # noqa: E402
 
 SEED = 7
-OUTPUTS = ("*.csv", "*.report")  # the files compared between the revisions
+OUTPUTS = ("*.csv", "*.txt", "*.report")  # the files compared between the revisions
 
 # runs in the exported checkout: python -c RUNNER OUT_DIR SEED
 RUNNER = """
 import dataclasses, sys, traceback
 from pathlib import Path
-from robust_huber.experiments import ExperimentSpec, emit_csv, run_certificate, run_experiment
+from robust_huber.experiments import (
+    ExperimentSpec, emit_csv, emit_report, run_certificate, run_experiment,
+)
 
 out, seed = Path(sys.argv[1]), int(sys.argv[2])
 for path in sorted(Path("configs").glob("*.ini")):
     try:
         spec = dataclasses.replace(ExperimentSpec.from_config(path, seed=seed), trials_per_point=1)
-        emit_csv(run_experiment(spec), out / (path.stem + ".csv"))
+        rows = run_experiment(spec)
+        emit_csv(rows, out / (path.stem + ".csv"))
+        emit_report(rows, out / (path.stem + ".txt"), csv_path=out / (path.stem + ".csv"),
+                    spec=spec)
         if spec.scenario == "meta_certificate":
             _, _, p, instance_seed = next(spec.trials())  # the first instance
             # [-1]: the certificate, last in run_certificate's return at every revision
@@ -65,9 +75,9 @@ for path in sorted(Path("configs").glob("*.ini")):
 
 
 def run_configs(checkout: Path, out: Path, seed: int) -> None:
-    """Write one trimmed CSV per config of `checkout`, and a report per
-    meta_certificate config, into `out`, which must not exist yet: a file
-    left from an earlier run could pass for this one's."""
+    """Write one trimmed CSV and sweep report per config of `checkout`, and a
+    certificate report per meta_certificate config, into `out`, which must
+    not exist yet: a file left from an earlier run could pass for this one's."""
     out.mkdir(parents=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
     subprocess.run([sys.executable, "-c", RUNNER, str(out), str(seed)],
@@ -75,8 +85,8 @@ def run_configs(checkout: Path, out: Path, seed: int) -> None:
 
 
 def compare_outputs(base: Path, head: Path) -> dict[str, str]:
-    """Per CSV or report name in either directory: identical, differs, or
-    missing on a side."""
+    """Per CSV, sweep report or certificate report name in either directory:
+    identical, differs, or missing on a side."""
     names = sorted({p.name for d in (base, head) for pattern in OUTPUTS for p in d.glob(pattern)})
     status = {}
     for name in names:

@@ -32,7 +32,7 @@ _CONFIG_ERRORS = (OSError, ValueError, configparser.Error)
 
 
 def _load_spec(args) -> ExperimentSpec:
-    return ExperimentSpec.from_config(args.config, scenario=args.scenario, seed=args.seed)
+    return ExperimentSpec.from_config(args.config, seed=args.seed)
 
 
 def _first_trial(args):
@@ -147,7 +147,6 @@ def main(argv=None) -> int:
     for name, (fn, help_text) in handlers.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="INI file with one scenario section")
-        sp.add_argument("--scenario", default=None, help="section to use when several exist")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="output path")
         if name == "sweep":

@@ -18,8 +18,9 @@ result.  A sweep's rows and `robust-huber solve` both come from run_trial.
 A run is a pure function of (config bytes, seed): every trial derives its
 instance seed from (seed, grid point index, trial index), workers share
 nothing, and rows are sorted by (grid point, trial) before emission, so
-serial and parallel executions write byte-identical CSVs.  Wall-clock times
-are kept in memory for the report but zeroed in the CSV for that reason.
+serial and parallel executions write byte-identical CSVs.  No file a sweep
+writes holds a clock: a row's wall_ms stays in memory, for callers that time
+trials.
 The CSV bytes also depend on the BLAS thread count: default BLAS threads
 against one thread moved rel_error by up to 1.3e-15 relative.
 """
@@ -156,8 +157,8 @@ class ExperimentSpec:
                 yield point, t, {**self.params, **point}, trial_seed(self.seed, i, t)
 
     @classmethod
-    def from_config(cls, path, scenario: Optional[str] = None, seed: Optional[int] = None):
-        """Build a spec from a flat INI file with one section per scenario."""
+    def from_config(cls, path, seed: Optional[int] = None):
+        """Build a spec from a flat INI file of one section, named after its scenario."""
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
             with open(path) as fh:
@@ -165,14 +166,9 @@ class ExperimentSpec:
         except OSError as exc:
             raise OSError(f"cannot read config {path}: {exc}") from exc
         sections = parser.sections()
-        if scenario is None:
-            if len(sections) != 1:
-                raise ValueError(
-                    f"config {path} has sections {sections}; pick one with scenario="
-                )
-            scenario = sections[0]
-        elif scenario not in sections:
-            raise ValueError(f"config {path} has no section [{scenario}]")
+        if len(sections) != 1:
+            raise ValueError(f"config {path} must have one section, has {sections}")
+        (scenario,) = sections
 
         grid, params, shape = {}, {}, {}  # shape: only the run-shape keys given
         const_kw, solver_kw = {}, {}
@@ -225,7 +221,7 @@ class ResultRow:
     metrics: dict
     iterations: int
     flags: dict
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0  # the trial's wall-clock time; no file a sweep writes holds it
     error: str = ""
 
     def __post_init__(self):
@@ -519,13 +515,12 @@ def _schema(rows: Sequence[ResultRow]):
 
 def _csv_header(point_keys, metric_keys, flag_keys) -> list[str]:
     return [
-        "scenario", *point_keys, "trial", *metric_keys, "iterations", *flag_keys,
-        "wall_ms", "error",
+        "scenario", *point_keys, "trial", *metric_keys, "iterations", *flag_keys, "error",
     ]
 
 
 def emit_csv(rows: Sequence[ResultRow], path) -> None:
-    """Deterministic CSV; wall_ms is zeroed so re-runs are byte-identical."""
+    """Deterministic CSV: no timing column, so re-runs are byte-identical."""
     rows = sorted(rows, key=_row_sort_key)
     point_keys, metric_keys, flag_keys = _schema(rows)
     header = _csv_header(point_keys, metric_keys, flag_keys)
@@ -543,7 +538,6 @@ def emit_csv(rows: Sequence[ResultRow], path) -> None:
                 ]
                 rec.append(str(row.iterations))
                 rec += [_fmt(bool(row.flags.get(k, False))) for k in flag_keys]
-                rec.append(_fmt(0.0))
                 rec.append(row.error)
                 writer.writerow(rec)
     except OSError as exc:
@@ -584,7 +578,6 @@ def emit_report(
     lines = [
         f"scenario: {spec.scenario}",
         f"rows: {len(rows)} ({sum(1 for r in rows if r.error)} with errors)",
-        f"total solve time: {sum(r.wall_ms for r in rows) / 1000.0:.2f} s",
     ]
     point_keys, metric_keys, _ = _schema(rows)
     for x_field in point_keys:

@@ -11,7 +11,8 @@ estimator's own objective: the loss, its gradient and the linear image come
 from the estimator's CompositeProblem.  `problem_kind`, the module's one
 switch on the problem type, builds that composite once, with the estimator's
 constants, and adds each kind's truth, cone and s, curvature scale (whose
-root normalises the error norm E), dual norm and the matrix problem's box.
+root normalises the error norm E) and dual norm; the matrix problem's box
+is the composite's constraint.
 assemble_certificate takes that ProblemKind, and every stage of a
 certificate reads it; experiments.run_certificate also solves its composite.
 
@@ -82,6 +83,9 @@ class RscSamplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 # cone samplers for S_b(Omega_bar) = {u : ||u||_reg <= b * ||proj_bar(u)||_reg}
 
+# b of both cones.  Each kind's contraction constant s is b times a bound on
+# ||proj_bar(u)||_reg / E(u), so s reads it too and cannot disagree with the cone
+CONE_EXPANSION = 4.0
 # both cones' member test (and so the cone_membership flag) allows this relative
 # slack, so a direction on a cone's boundary passes despite rounding in its norms
 MEMBER_RTOL = 1e-6
@@ -93,7 +97,6 @@ class SparseCone:
 
     support: np.ndarray
     dim: int
-    expansion: float = 4.0
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=int)
@@ -110,7 +113,7 @@ class SparseCone:
         return float(np.sum(np.abs(np.asarray(u)[self.support])))
 
     def member(self, u) -> bool:
-        return self.reg_norm(u) <= self.expansion * self.projection_norm(u) * (1 + MEMBER_RTOL) + 1e-12
+        return self.reg_norm(u) <= CONE_EXPANSION * self.projection_norm(u) * (1 + MEMBER_RTOL) + 1e-12
 
     def sample(self, rng) -> np.ndarray:
         u = np.zeros(self.dim)
@@ -125,7 +128,7 @@ class SparseCone:
         tail = rng.standard_normal(self.complement.size)
         l1_tail = np.sum(np.abs(tail))
         if l1_tail > 0:
-            budget = (self.expansion - 1.0) * self.projection_norm(u)
+            budget = (CONE_EXPANSION - 1.0) * self.projection_norm(u)
             u[self.complement] = tail * (t * budget / l1_tail)
         return u
 
@@ -142,7 +145,6 @@ class LowRankCone:
     row_basis: np.ndarray  # n x r, orthonormal columns
     col_perp: np.ndarray = field(repr=False)  # n x (n - r), completes col_basis
     row_perp: np.ndarray = field(repr=False)  # n x (n - r), completes row_basis
-    expansion: float = 4.0
 
     def __post_init__(self):
         for name, B in (("col_basis", self.col_basis), ("row_basis", self.row_basis)):
@@ -150,7 +152,7 @@ class LowRankCone:
                 raise ValueError(f"{name} must have orthonormal columns")
 
     @classmethod
-    def from_truth(cls, L_star, r: Optional[int] = None, expansion: float = 4.0):
+    def from_truth(cls, L_star, r: Optional[int] = None):
         L_star = np.asarray(L_star, dtype=float)
         U, s, Vt = np.linalg.svd(L_star)
         tol = 1e-12 * (s[0] if s.size and s[0] > 0 else 1.0)
@@ -164,7 +166,6 @@ class LowRankCone:
             row_basis=Vt[:rank].T.copy(),
             col_perp=U[:, rank:].copy(),
             row_perp=Vt[rank:].T.copy(),
-            expansion=expansion,
         )
 
     @property
@@ -197,7 +198,7 @@ class LowRankCone:
         return nuclear_norm(Q.T @ A)
 
     def member(self, M) -> bool:
-        return self.reg_norm(M) <= self.expansion * self.projection_norm(M) * (1 + MEMBER_RTOL) + 1e-9
+        return self.reg_norm(M) <= CONE_EXPANSION * self.projection_norm(M) * (1 + MEMBER_RTOL) + 1e-9
 
     def sample(self, rng) -> np.ndarray:
         n = self.col_basis.shape[0]
@@ -217,7 +218,7 @@ class LowRankCone:
             return A
         t = 1.0 if mode < 0.5 else rng.random()
         # triangle inequality keeps A + cB inside the cone for this c
-        c = t * (self.expansion - 1.0) * self._omega_bar_norm(A, M) / norm_B
+        c = t * (CONE_EXPANSION - 1.0) * self._omega_bar_norm(A, M) / norm_B
         return A + c * B
 
     def subspace_samplers(self):
@@ -328,6 +329,7 @@ def estimate_rsc(kind: ProblemKind, cone, radius: float, trials: int, seed: int)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a0, f0, d0 = kind.loss_at_truth
+    box = kind.composite.constraint  # the matrix problem's max-norm ball; None for regression
     worst = np.inf
     found = 0
     i = 0
@@ -340,7 +342,7 @@ def estimate_rsc(kind: ProblemKind, cone, radius: float, trials: int, seed: int)
         if e <= 1e-14:
             raise RscSamplingError("sampled cone direction u with E(u) = 0")
         v *= radius / e
-        if kind.box is not None and np.max(np.abs(kind.truth + v)) > kind.box:
+        if box is not None and not box.contains(kind.truth + v):
             continue
         found += 1
         bracket = kind.composite.smooth_eval(a0 + v)[0] - f0 - float(np.vdot(d0, v))
@@ -368,7 +370,8 @@ def _re_cone_sample(support, complement, rng):
         l1_tail = np.sum(np.abs(tail))
         if l1_tail > 0:
             t = rng.random()
-            budget = 9.0 * np.sum(np.abs(u[support]))  # boundary of the 0.1 cone
+            # the cone's boundary: ||u_S||_1 = RE_CONE_FRACTION * ||u||_1
+            budget = (1 / RE_CONE_FRACTION - 1) * np.sum(np.abs(u[support]))
             u[complement] = tail * (t * budget / l1_tail)
     return u
 
@@ -574,7 +577,6 @@ class ProblemKind:
     truth: np.ndarray | None  # None when the problem carries no truth
     composite: CompositeProblem  # the estimator's objective: its loss, image and adjoint
     info: dict  # the estimator's constants: Huber width "h" and weight "gamma"
-    box: Optional[float]  # bound on |truth + u| entrywise (matrix problem, image u)
     dual_norm: Callable  # dual of the regularizer norm: l-inf, or spectral
     kappa_scale: float  # curvature in the quadratic regime: n, or 1
     geometry: Callable  # seed -> _Geometry; needs the truth
@@ -616,7 +618,7 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
                 if problem.beta_star is None:
                     raise ValueError("certificate requires ground truth")
                 lambda_hat = check_re_property(X, problem.support, TRIALS_RE, seed)
-                s = 4.0 * np.sqrt(problem.k / lambda_hat) if lambda_hat > 0 else np.inf
+                s = CONE_EXPANSION * np.sqrt(problem.k / lambda_hat) if lambda_hat > 0 else np.inf
                 return _Geometry(SparseCone(problem.support, problem.d), s, lambda_hat)
 
             composite, info = build_regression_composite(problem, constants)
@@ -624,7 +626,6 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
                 truth=problem.beta_star,
                 composite=composite,
                 info=info,
-                box=None,
                 dual_norm=dual_norm_linf,
                 kappa_scale=float(problem.n),
                 geometry=regression_geometry,
@@ -638,7 +639,7 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
                 gap = rho_over_n - float(np.max(np.abs(L_star)))
                 return _Geometry(
                     LowRankCone.from_truth(L_star, r=problem.r),
-                    4.0 * np.sqrt(2.0 * problem.r),
+                    CONE_EXPANSION * np.sqrt(2.0 * problem.r),
                     None,
                     radius_cap=0.8 * gap * problem.n / 4.5 if gap > 0 else 0.0,
                     # largest Frobenius distance reachable inside the box from
@@ -651,7 +652,6 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
                 truth=L_star,
                 composite=composite,
                 info=info,
-                box=rho_over_n * (1 + 1e-12),
                 dual_norm=dual_norm_spectral,
                 kappa_scale=1.0,
                 geometry=pca_geometry,

@@ -157,22 +157,17 @@ def test_from_config_field_routing():
 
 
 def test_from_config_overrides_and_errors(tmp_path):
-    path = tmp_path / "multi.ini"
+    path = tmp_path / "regression.ini"
     path.write_text(
         "[regression_n_sweep]\n"
         "n_grid = 10 20  # inline comment\n"
         "d = 4\nk = 1\nalpha = 0.8\n"
-        "[pca_n_sweep]\n"
-        "n_grid = 8\nr = 1\nalpha = 0.9\n"
     )
-    with pytest.raises(ValueError):
-        ExperimentSpec.from_config(path)  # ambiguous without scenario=
-    spec = ExperimentSpec.from_config(path, scenario="regression_n_sweep")
+    spec = ExperimentSpec.from_config(path)
+    assert spec.scenario == "regression_n_sweep"
     assert spec.grid["n"] == [10, 20]
     assert spec.params["d"] == 4
-    assert ExperimentSpec.from_config(path, scenario="pca_n_sweep", seed=99).seed == 99
-    with pytest.raises(ValueError):
-        ExperimentSpec.from_config(path, scenario="missing_section")
+    assert ExperimentSpec.from_config(path, seed=99).seed == 99
     with pytest.raises(OSError):
         ExperimentSpec.from_config(tmp_path / "does_not_exist.ini")
     empty = tmp_path / "empty_grid.ini"
@@ -571,11 +566,9 @@ def test_emit_csv_schema_and_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     emit_csv(rows, path)
     assert read_csv(path) == [
-        ["scenario", "n", "trial", "frobenius_error", "iterations", "dominated", "wall_ms",
-         "error"],
-        ["pca_n_sweep", "50", "0", "0.30000000000000004", "17", "1", "0", ""],
-        ["pca_n_sweep", "50", "1", "nan", "0", "0", "0",
-         "SolverDiverged: objective overflow"],
+        ["scenario", "n", "trial", "frobenius_error", "iterations", "dominated", "error"],
+        ["pca_n_sweep", "50", "0", "0.30000000000000004", "17", "1", ""],
+        ["pca_n_sweep", "50", "1", "nan", "0", "0", "SolverDiverged: objective overflow"],
     ]
 
 
@@ -590,8 +583,8 @@ def test_emit_csv_sorts_rows(tmp_path):
 def test_emit_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)
-    assert path.read_text() == "scenario,trial,iterations,wall_ms,error\n"
-    assert read_csv(path) == [["scenario", "trial", "iterations", "wall_ms", "error"]]
+    assert path.read_text() == "scenario,trial,iterations,error\n"
+    assert read_csv(path) == [["scenario", "trial", "iterations", "error"]]
 
 
 def test_csv_io_errors(tmp_path):
@@ -861,6 +854,27 @@ def test_emit_report_contents_and_gnuplot(tmp_path):
     assert str(csv_path) in script
 
 
+def test_outputs_carry_no_clock(tmp_path):
+    # two runs of one sweep differ only in their trial times
+    rows = rows_from(
+        "regression_n_sweep", "n",
+        [(n, 4.0 / n) for n in (100, 200, 400)], "prediction_error_sq",
+        flags={"dominated": True},
+    )
+    slower = [dataclasses.replace(row, wall_ms=1000.0 * (i + 1)) for i, row in enumerate(rows)]
+    written = {}
+    for name, run in (("fast", rows), ("slow", slower)):
+        out = tmp_path / name
+        out.mkdir()
+        emit_csv(run, out / "rows.csv")
+        # the same relative CSV path, so the gnuplot companions compare too
+        emit_report(run, out / "report.txt", csv_path="rows.csv", spec=regression_n_spec())
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written["fast"]) == ["report.gnuplot", "report.txt", "rows.csv"]
+    assert written["fast"] == written["slow"]
+    assert "wall_ms" not in written["fast"]["rows.csv"].decode().splitlines()[0].split(",")
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -1117,11 +1131,25 @@ def test_cli_sweep_without_k_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
-def test_cli_ambiguous_sections(tmp_path):
-    cfg = write_config(
-        tmp_path, "multi.ini", TINY_REGRESSION_INI + TINY_COMPLETION_INI
-    )
-    assert main(["gen", "--config", cfg]) == EXIT_CONFIG
+def test_cli_ambiguous_sections(tmp_path, capsys):
+    # a config is exactly one section: two, or none, fail at load in every command
+    for name, ini in (("two.ini", TINY_REGRESSION_INI + TINY_COMPLETION_INI),
+                      ("none.ini", "# a comment and no section\n")):
+        cfg = write_config(tmp_path, name, ini)
+        for command in ("gen", "solve", "verify", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            assert "must have one section" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_cli_has_no_scenario_option(tmp_path, capsys):
+    cfg = write_config(tmp_path, "reg.ini", TINY_REGRESSION_INI)
+    for command in ("gen", "solve", "verify", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--scenario", "regression_n_sweep"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
 
 def test_cli_verify_without_alpha(tmp_path):

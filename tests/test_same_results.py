@@ -1,6 +1,7 @@
-"""The two-revision result check: its comparison of CSVs and certificate
-reports, its report of the first differing line and of the largest relative
-difference per numeric column, and the config runner's certificate report."""
+"""The two-revision result check: its comparison of CSVs, sweep reports and
+certificate reports, its report of the first differing line and of the
+largest relative difference per numeric column, and the reports the config
+runner writes."""
 
 import importlib.util
 import math
@@ -28,13 +29,14 @@ def test_compare_csvs_by_bytes_and_by_presence(tmp_path):
         "new.csv": (None, "x\n"),
         "cert.report": ("kappa = 1\n", "kappa = 1.0000000000000002\n"),
         "same.report": ("s = 4\n", "s = 4\n"),
+        "sweep.txt": ("rows: 1\nPASS a: b\n", "rows: 1\nPASS a: b\n"),
     }
     for name, (a, b) in files.items():
         if a is not None:
             (base / name).write_bytes(a.encode())
         if b is not None:
             (head / name).write_bytes(b.encode())
-    (base / "notes.txt").write_text("not a CSV")
+    (base / "plot.gnuplot").write_text("not compared")
     assert same_results.compare_outputs(base, head) == {
         "cert.report": "differs",
         "digit.csv": "differs",
@@ -43,6 +45,7 @@ def test_compare_csvs_by_bytes_and_by_presence(tmp_path):
         "old.csv": "missing in head",
         "same.csv": "identical",
         "same.report": "identical",
+        "sweep.txt": "identical",
     }
 
 
@@ -54,6 +57,9 @@ def test_first_difference_names_the_moved_row(tmp_path):
         "newline": ("x\n1\n", "x\n1\r\n", (2, "1\n", "1\r\n")),
         "longer_head": ("x\n", "x\ny\n", (2, "", "y\n")),
         "final_newline": ("x\ny", "x\ny\n", (2, "y", "y\n")),
+        # a sweep report of a revision that still timed its trials
+        "time_line": ("rows: 2\ntotal solve time: 0.51 s\nPASS a: b\n", "rows: 2\nPASS a: b\n",
+                      (2, "total solve time: 0.51 s\n", "PASS a: b\n")),
     }
     for name, (a, b, expected) in cases.items():
         (tmp_path / f"{name}_base.csv").write_bytes(a.encode())
@@ -134,7 +140,8 @@ def test_runner_writes_the_verify_report_of_meta_certificate_configs(tmp_path):
     out = tmp_path / "out"
     same_results.run_configs(checkout, out, same_results.SEED)
     assert sorted(p.name for p in out.iterdir()) == [
-        "demo_matrix_completion.csv", "meta.csv", "meta.report",
+        "demo_matrix_completion.csv", "demo_matrix_completion.gnuplot",
+        "demo_matrix_completion.txt", "meta.csv", "meta.gnuplot", "meta.report", "meta.txt",
     ]
     # the report `verify` prints, at the one BLAS thread run_configs pins: the
     # last digits of a result depend on the BLAS thread count
@@ -146,3 +153,13 @@ def test_runner_writes_the_verify_report_of_meta_certificate_configs(tmp_path):
     )
     assert verify.returncode == 0, verify.stderr
     assert (out / "meta.report").read_text() == verify.stdout
+    # the sweep report is the one `sweep` writes: meta.ini runs one trial per point
+    sweep = subprocess.run(
+        [sys.executable, "-m", "robust_huber.cli", "sweep",
+         "--config", str(checkout / "configs" / "meta.ini"), "--seed", str(same_results.SEED),
+         "--out", str(tmp_path / "sweep.csv")],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert sweep.returncode in (0, 1), sweep.stderr  # 1: a check failed, the report is written
+    assert (out / "meta.txt").read_bytes() == (tmp_path / "sweep_report.txt").read_bytes()
+    assert (out / "meta.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()

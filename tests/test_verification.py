@@ -43,7 +43,7 @@ from robust_huber.verification import CONDITION_NAMES, RADIUS_RTOL
 
 
 def test_sparse_cone_samples_are_members():
-    cone = SparseCone(support=np.array([0, 3, 7]), dim=12, expansion=4.0)
+    cone = SparseCone(support=np.array([0, 3, 7]), dim=12)
     rng = np.random.default_rng(0)
     for _ in range(300):
         u = cone.sample(rng)
@@ -210,26 +210,28 @@ def test_decomposability_validation():
 # contraction
 
 
-def test_contraction_exact_sparse_vectors():
+def test_contraction_exact_sparse_vectors(monkeypatch):
     # expansion 1 leaves no budget for tails, so samples are k-sparse
+    monkeypatch.setattr(verification, "CONE_EXPANSION", 1.0)
     k = 3
-    cone = SparseCone(support=np.arange(k), dim=20, expansion=1.0)
+    cone = SparseCone(support=np.arange(k), dim=20)
     s = measure_contraction(cone, np.linalg.norm, trials=400, seed=0)
     assert 1.0 <= s <= np.sqrt(k) + 1e-9
 
 
 def test_contraction_sparse_cone_within_closed_form_bound():
     k = 3
-    cone = SparseCone(support=np.arange(k), dim=20, expansion=4.0)
+    cone = SparseCone(support=np.arange(k), dim=20)
     s = measure_contraction(cone, np.linalg.norm, trials=400, seed=0)
     assert 1.0 <= s <= 4.0 * np.sqrt(k) * (1 + 1e-9)
 
 
-def test_contraction_exact_lowrank_matrices():
+def test_contraction_exact_lowrank_matrices(monkeypatch):
+    monkeypatch.setattr(verification, "CONE_EXPANSION", 1.0)
     rng = np.random.default_rng(3)
     r = 2
     L = rng.standard_normal((10, r)) @ rng.standard_normal((r, 10))
-    cone = LowRankCone.from_truth(L, r=r, expansion=1.0)
+    cone = LowRankCone.from_truth(L, r=r)
     s = measure_contraction(
         cone, lambda M: float(np.linalg.norm(M)), trials=400, seed=4
     )
@@ -240,11 +242,36 @@ def test_contraction_lowrank_cone_within_closed_form_bound():
     rng = np.random.default_rng(5)
     r = 2
     L = rng.standard_normal((10, r)) @ rng.standard_normal((r, 10))
-    cone = LowRankCone.from_truth(L, r=r, expansion=4.0)
+    cone = LowRankCone.from_truth(L, r=r)
     s = measure_contraction(
         cone, lambda M: float(np.linalg.norm(M)), trials=400, seed=6
     )
     assert 1.0 <= s <= 4.0 * np.sqrt(2 * r) * (1 + 1e-9)
+
+
+def test_cone_expansion_is_stated_once(monkeypatch):
+    # the constant sets each kind's cone and its contraction constant together
+    noise = NoiseSpec("symmetric_mixture", alpha=0.9)
+    reg = make_regression_instance(200, 10, SignalSpec(2, 3.0), noise, seed=12)
+    pca = make_pca_instance(20, 1, noise, 1.0, seed=6, l_scale=0.5)
+    for prob in (reg, pca):
+        geo = problem_kind(prob).geometry(3)
+        cone = geo.cone
+        if isinstance(cone, SparseCone):
+            # l1 norm 4 * ||u_S||_1: the tail holds 3 parts in 4
+            inside = np.zeros(cone.dim)
+            inside[cone.support] = 1.0
+            inside[cone.complement] = 3.0 * cone.support.size / cone.complement.size
+        else:
+            # spans plus an orthogonal block of 3 times its nuclear norm
+            inside = cone.col_basis @ cone.row_basis.T
+            inside += 3.0 * cone.rank * cone.col_perp[:, :1] @ cone.row_perp[:, :1].T
+        assert cone.reg_norm(inside) == pytest.approx(4.0 * cone.projection_norm(inside))
+        assert cone.member(inside)
+        monkeypatch.setattr(verification, "CONE_EXPANSION", 2.0)
+        assert problem_kind(prob).geometry(3).s == geo.s / 2
+        assert not cone.member(inside)
+        monkeypatch.undo()
 
 
 def test_contraction_degenerate_metric_raises():

@@ -68,7 +68,6 @@ from .lowerbound import check_phase_instance, phase_instance, phase_trial
 from .solver import SolverConfig, SolverDiverged
 from .verification import (
     CONDITION_NAMES,
-    CertificateParams,
     RscSamplingError,
     assemble_certificate,
     problem_kind,
@@ -360,8 +359,7 @@ def run_certificate(spec: ExperimentSpec, p: dict, instance_seed: int):
     problem = build_instance(spec, p, instance_seed)
     kind = problem_kind(problem, spec.constants)
     result, _ = solve_instance(spec, problem, kind.composite)
-    cert_params = CertificateParams(alpha=p["alpha"], seed=instance_seed)
-    return result, assemble_certificate(kind, result.point, cert_params)
+    return result, assemble_certificate(kind, result.point, p["alpha"], instance_seed)
 
 
 def _solve_trial(spec, p, instance_seed):

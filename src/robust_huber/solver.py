@@ -202,13 +202,15 @@ def _backtracked_prox_step(problem, y, a_y, fy, d_y, gy, step):
     quadratic term is itself within the allowance, function values cannot
     tell one step from another (near a solution, a step that grew past the
     curvature would pass on roundoff alone), so the test is then
-    <grad f(c) - grad f(y), c - y> <= ||c - y||^2/step, taken in the image:
-    the same condition for a quadratic f, and free of cancellation.  For a
-    convex f it implies the test on function values, whose gap f(c) - f(y) -
-    <grad f(y), c - y> is at most its left side.  TFOCS (Becker, Candes &
-    Grant, Math. Prog. Comp. 2011) switches to a gradient test likewise.  The
-    test is _majorized; its gradient form is what refuses the grown steps on
-    which solve_fista stalls when a restart keeps the step in force.
+    <grad f(c) - grad f(y), c - y> <= ||c - y||^2/step, taken in the image
+    and free of cancellation.  For a quadratic f it is the same condition; for
+    a convex f it bounds the gap f(c) - f(y) - <grad f(y), c - y> only by
+    twice the quadratic term (a Huber loss can exceed the term itself), so it
+    is used only where function values cannot resolve the difference.  TFOCS
+    (Becker, Candes & Grant, Math. Prog. Comp. 2011) switches to a gradient
+    test likewise.  The test is _majorized; its gradient form is what refuses
+    the grown steps on which solve_fista stalls when a restart keeps the step
+    in force.
 
     Returns the candidate, its image, its smooth value and its loss gradient
     d (not yet mapped by the adjoint), and the step."""
@@ -579,12 +581,10 @@ class _AndersonHistory:
         gamma = self._coefficients(held)
         memory = len(self.df)
         self.head = slot = (self.head + 1) % memory
-        out, scratch = self.dg[slot], self.df[slot]
         if gamma is None:
-            np.copyto(out, tz)
-            np.copyto(scratch, f)
-            self.pairs = 1
+            self.hold(f, tz)
             return tz, False
+        out, scratch = self.dg[slot], self.df[slot]
         if len(held) == memory:  # slot holds the oldest difference, last in held
             out *= -gamma[-1]
             out += tz

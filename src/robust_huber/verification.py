@@ -10,11 +10,14 @@ The recovery argument is written once, for both problem kinds, on the
 estimator's own objective: the loss, its gradient and the linear image come
 from the estimator's CompositeProblem.  `problem_kind`, the module's one
 switch on the problem type, builds that composite once, with the estimator's
-constants, and adds each kind's truth, cone and s, curvature scale (whose
-root normalises the error norm E) and dual norm; the matrix problem's box
-is the composite's constraint.
-assemble_certificate takes that ProblemKind, and every stage of a
-certificate reads it; experiments.run_certificate also solves its composite.
+constants, and adds each kind's truth, regularization weight, cone and s,
+curvature scale (whose root normalises the error norm E) and dual norm; the
+matrix problem's box is the composite's constraint.
+assemble_certificate takes that ProblemKind, the inlier rate and the seed,
+and every stage of a certificate reads them; experiments.run_certificate also
+solves the kind's composite.  Each cone draws its own directions: cone
+samples for contraction and curvature, and random elements of its model
+space and of the complement for decomposability.
 
 All Monte-Carlo checks draw per-trial generators keyed by (seed, tag, trial),
 so results do not depend on scheduling, and adding trials never flips an
@@ -24,7 +27,7 @@ earlier draw (prefix stability).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -59,7 +62,6 @@ __all__ = [
     "check_re_property",
     "check_well_spread",
     "check_gaussian_concentration",
-    "CertificateParams",
     "MetaCertificate",
     "assemble_certificate",
 ]
@@ -132,19 +134,27 @@ class SparseCone:
             u[self.complement] = tail * (t * budget / l1_tail)
         return u
 
-    def subspace_samplers(self):
-        """Random elements of the model space and of its complement."""
-        return _l1_sampler(self.support, self.dim), _l1_sampler(self.complement, self.dim)
+    def sample_model(self, rng) -> np.ndarray:
+        """A random element of the model space: standard normal on the support."""
+        u = np.zeros(self.dim)
+        u[self.support] = rng.standard_normal(self.support.size)
+        return u
+
+    def sample_perp(self, rng) -> np.ndarray:
+        """A random element of the complement: standard normal off the support."""
+        u = np.zeros(self.dim)
+        u[self.complement] = rng.standard_normal(self.complement.size)
+        return u
 
 
 @dataclass
 class LowRankCone:
-    """Expansion cone of the nuclear norm around row/column spans (from_truth)."""
+    """Expansion cone of the nuclear norm around the truth's column and row
+    spans U, V (from_truth), which alone fix the model space {U A V^T} and
+    its complement {(I - UU^T) M (I - VV^T)} = {M - project_omega_bar(M)}."""
 
-    col_basis: np.ndarray  # n x r, orthonormal columns
-    row_basis: np.ndarray  # n x r, orthonormal columns
-    col_perp: np.ndarray = field(repr=False)  # n x (n - r), completes col_basis
-    row_perp: np.ndarray = field(repr=False)  # n x (n - r), completes row_basis
+    col_basis: np.ndarray  # n x r, orthonormal columns: U
+    row_basis: np.ndarray  # n x r, orthonormal columns: V
 
     def __post_init__(self):
         for name, B in (("col_basis", self.col_basis), ("row_basis", self.row_basis)):
@@ -161,12 +171,7 @@ class LowRankCone:
             rank = min(rank, r)
         if rank == 0:
             raise ValueError("L_star is numerically zero; spans undefined")
-        return cls(
-            col_basis=U[:, :rank].copy(),
-            row_basis=Vt[:rank].T.copy(),
-            col_perp=U[:, rank:].copy(),
-            row_perp=Vt[rank:].T.copy(),
-        )
+        return cls(col_basis=U[:, :rank].copy(), row_basis=Vt[:rank].T.copy())
 
     @property
     def rank(self) -> int:
@@ -205,14 +210,12 @@ class LowRankCone:
         mode = rng.random()
         if mode < 0.1:
             # pure low-rank element of the spans themselves
-            A = self.col_basis @ rng.standard_normal((self.rank, self.rank)) @ self.row_basis.T
-            return A
+            return self.sample_model(rng)
         M = rng.standard_normal((n, n))
         A = self.project_omega_bar(M)
-        if self.col_perp.shape[1] == 0 or self.row_perp.shape[1] == 0 or mode < 0.3:
+        if self.rank == n or mode < 0.3:
             return A
-        G = rng.standard_normal((self.col_perp.shape[1], self.row_perp.shape[1]))
-        B = self.col_perp @ G @ self.row_perp.T
+        B = self.sample_perp(rng)
         norm_B = nuclear_norm(B)
         if norm_B == 0:
             return A
@@ -221,31 +224,19 @@ class LowRankCone:
         c = t * (CONE_EXPANSION - 1.0) * self._omega_bar_norm(A, M) / norm_B
         return A + c * B
 
-    def subspace_samplers(self):
-        """Random elements of the model space and of its complement."""
-        return (_nuclear_sampler(self.col_basis, self.row_basis),
-                _nuclear_sampler(self.col_perp, self.row_perp))
+    def sample_model(self, rng) -> np.ndarray:
+        """U G V^T for a standard Gaussian r x r G: an element of the model space."""
+        return self.col_basis @ rng.standard_normal((self.rank, self.rank)) @ self.row_basis.T
 
-
-def _l1_sampler(indices, d):
-    indices = np.asarray(indices, dtype=int)
-
-    def sample(rng):
-        u = np.zeros(d)
-        if indices.size:
-            u[indices] = rng.standard_normal(indices.size)
-        return u
-
-    return sample
-
-
-def _nuclear_sampler(left, right):
-    def sample(rng):
-        if left.shape[1] == 0 or right.shape[1] == 0:
-            return np.zeros((left.shape[0], right.shape[0]))
-        return left @ rng.standard_normal((left.shape[1], right.shape[1])) @ right.T
-
-    return sample
+    def sample_perp(self, rng) -> np.ndarray:
+        """G - project_omega_bar(G) for a standard Gaussian n x n G: an element
+        of the complement, whose coordinates in its bases are standard
+        Gaussian.  A full-rank truth has the zero complement."""
+        n = self.col_basis.shape[0]
+        if self.rank == n:
+            return np.zeros((n, n))
+        G = rng.standard_normal((n, n))
+        return G - self.project_omega_bar(G)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +248,7 @@ def check_decomposability(
 ) -> bool:
     """Additivity ||u + v|| = ||u|| + ||v|| for u = sample_model(rng) from the
     model space and v = sample_perp(rng) from the complement space, on random
-    elements of each (a cone's subspace_samplers give both)."""
+    elements of each (a cone's sample_model and sample_perp give both)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for i in range(trials):
@@ -496,25 +487,6 @@ def check_gaussian_concentration(
 # certificate
 
 
-@dataclass(frozen=True)
-class CertificateParams:
-    """Per-instance inputs of assemble_certificate.
-
-    alpha is the inlier rate of the noise law; the restricted-convexity flag
-    compares the measured kappa against 0.01*alpha*n (regression) or
-    0.01*alpha (matrix problem).  seed keys every Monte-Carlo check.  Sample
-    counts and tolerances are the module constants TRIALS_* and RADIUS_*, and
-    the domination checks' slack is solver.DOMINATION_MARGIN.
-    """
-
-    alpha: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-
-
 CONDITION_NAMES = (
     "decomposability",
     "contraction",
@@ -576,7 +548,7 @@ class ProblemKind:
 
     truth: np.ndarray | None  # None when the problem carries no truth
     composite: CompositeProblem  # the estimator's objective: its loss, image and adjoint
-    info: dict  # the estimator's constants: Huber width "h" and weight "gamma"
+    gamma: float  # the estimator's regularization weight
     dual_norm: Callable  # dual of the regularizer norm: l-inf, or spectral
     kappa_scale: float  # curvature in the quadratic regime: n, or 1
     geometry: Callable  # seed -> _Geometry; needs the truth
@@ -625,7 +597,7 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
             return ProblemKind(
                 truth=problem.beta_star,
                 composite=composite,
-                info=info,
+                gamma=info["gamma"],
                 dual_norm=dual_norm_linf,
                 kappa_scale=float(problem.n),
                 geometry=regression_geometry,
@@ -651,7 +623,7 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
             return ProblemKind(
                 truth=L_star,
                 composite=composite,
-                info=info,
+                gamma=info["gamma"],
                 dual_norm=dual_norm_spectral,
                 kappa_scale=1.0,
                 geometry=pca_geometry,
@@ -700,13 +672,18 @@ def _radius_fixed_point(kind, geometry, gamma, seed):
 
 
 def assemble_certificate(
-    kind: ProblemKind,
-    estimate,
-    params: CertificateParams,
+    kind: ProblemKind, estimate, alpha: float, seed: int = 0
 ) -> MetaCertificate:
     """Measure every condition of the recovery bound on one solved instance,
     given its ProblemKind (problem_kind(problem, constants), built with the
     estimator's constants; the estimate may be a solve of kind.composite).
+
+    alpha is the inlier rate of the noise law, in (0, 1]; the
+    restricted-convexity flag compares the measured kappa against
+    0.01*alpha*n (regression) or 0.01*alpha (matrix problem).  seed keys
+    every Monte-Carlo check.  Sample counts and tolerances are the module
+    constants TRIALS_* and RADIUS_*, and the domination checks' slack is
+    solver.DOMINATION_MARGIN.
 
     gamma_measured is twice the dual norm of the loss gradient at the truth;
     R = 4*gamma_measured*s/kappa with all quantities measured.  The
@@ -717,22 +694,20 @@ def assemble_certificate(
     the box's feasible diameter leaves the curvature condition vacuous
     (rsc_vacuous), and the radius bound then holds without consistency.
     """
-    geo = kind.geometry(params.seed)
+    if not (0 < alpha <= 1):
+        raise ValueError("alpha must lie in (0, 1]")
+    geo = kind.geometry(seed)
     if geo.radius_cap <= 0:
         raise RscSamplingError("truth sits on the box boundary; no feasible cone samples exist")
     cone, s, truth, composite = geo.cone, geo.s, kind.truth, kind.composite
-    gamma_est = kind.info["gamma"]
+    gamma_est = kind.gamma
 
     gamma_measured = 2.0 * kind.dual_norm(kind.gradient_at_truth())
     decomp = check_decomposability(
-        cone.reg_norm, *cone.subspace_samplers(), TRIALS_DECOMPOSABILITY, params.seed
+        cone.reg_norm, cone.sample_model, cone.sample_perp, TRIALS_DECOMPOSABILITY, seed
     )
-    contraction_measured = measure_contraction(
-        cone, kind.error, TRIALS_CONTRACTION, params.seed
-    )
-    kappa, kappa_radius, R, consistent = _radius_fixed_point(
-        kind, geo, gamma_measured, params.seed
-    )
+    contraction_measured = measure_contraction(cone, kind.error, TRIALS_CONTRACTION, seed)
+    kappa, kappa_radius, R, consistent = _radius_fixed_point(kind, geo, gamma_measured, seed)
     radius_formula_ok = bool(kappa > 0 and np.isfinite(R))
     rsc_vacuous = bool(radius_formula_ok and R > geo.feasible_diameter)
 
@@ -740,7 +715,7 @@ def assemble_certificate(
         "decomposability": bool(decomp),
         "contraction": bool(np.isfinite(s) and contraction_measured <= s * (1 + 1e-9)),
         "gradient_bound": bool(gamma_measured <= gamma_est * (1 + 1e-12)),
-        "restricted_convexity": bool(kappa >= 0.01 * params.alpha * kind.kappa_scale),
+        "restricted_convexity": bool(kappa >= 0.01 * alpha * kind.kappa_scale),
         "radius_bound": bool(radius_formula_ok and (consistent or rsc_vacuous)),
     }
 

@@ -23,6 +23,7 @@ from robust_huber import (
     certify_against_reference,
     composite_objective,
     huber_loss,
+    huber_loss_and_grad,
     huber_loss_grad,
     make_regression_instance,
     project_maxnorm,
@@ -346,6 +347,21 @@ def test_fista_gradient_form_majorization_prevents_the_stall(monkeypatch):
     monkeypatch.setattr(solver, "_majorized", values_only)
     stalled = solve_fista(composite, config, start)
     assert stalled.iterations >= 5 * real.iterations
+
+
+def test_majorization_refuses_a_huber_step_its_gradient_form_passes():
+    # 1-D Huber loss, h = 1, from y = 0 to c = 2 at step 2: the gradient form
+    # <f'(c) - f'(y), c - y> = 2 <= |c - y|^2/step = 2 holds, but the gap
+    # f(c) - f(y) - f'(y)(c - y) = 1.5 exceeds the quadratic term 1, so the
+    # gradient form alone would accept a step that is no majorization
+    params = HuberParams(1.0)
+    y, c, step = np.array([0.0]), np.array([2.0]), 2.0
+    (f_y, d_y), (f_c, d_c) = huber_loss_and_grad(y, params), huber_loss_and_grad(c, params)
+    half_sq = float(np.vdot(c - y, c - y)) / (2 * step)
+    quad = f_y + float(np.vdot(d_y, c - y)) + half_sq
+    assert float(np.vdot(d_c - d_y, c - y)) <= 2 * half_sq
+    assert f_c - (quad - half_sq) > half_sq
+    assert not solver._majorized(f_c, quad, half_sq, c, d_c, y, d_y)
 
 
 def test_trial_step_is_the_larger_of_the_grown_and_the_damped_spectral_step():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from robust_huber import (
-    CertificateParams,
     EstimatorConstants,
     LowRankCone,
     MetaCertificate,
@@ -94,10 +93,11 @@ def test_lowrank_cone_samples_are_members():
 
 
 def test_lowrank_cone_requires_orthonormal_basis():
-    bad = np.ones((4, 2))
-    good, good_perp = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+    bad, good = np.ones((4, 2)), np.eye(4)[:, :2]
     with pytest.raises(ValueError):
-        LowRankCone(col_basis=bad, row_basis=good, col_perp=good_perp, row_perp=good_perp)
+        LowRankCone(col_basis=bad, row_basis=good)
+    with pytest.raises(ValueError):
+        LowRankCone(col_basis=good, row_basis=bad)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -111,6 +111,36 @@ def test_lowrank_projection_norm_from_rank_2r_factor(r):
         for M in (rng.standard_normal((n, n)), U @ rng.standard_normal((r, r)) @ V.T, U @ V.T):
             full = nuclear_norm(cone.project_omega_bar(M))
             assert cone.projection_norm(M) == pytest.approx(full, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_lowrank_subspace_samples_lie_in_their_spaces(r):
+    rng = np.random.default_rng(40 + r)
+    cone = LowRankCone.from_truth(rng.standard_normal((12, r)) @ rng.standard_normal((r, 12)))
+    for _ in range(20):
+        perp = cone.sample_perp(rng)
+        assert np.linalg.norm(cone.project_omega_bar(perp)) <= 1e-12 * np.linalg.norm(perp)
+        model = cone.sample_model(rng)
+        assert np.allclose(cone.project_omega_bar(model), model, rtol=0, atol=1e-12)
+
+
+def test_lowrank_full_rank_truth_has_an_exactly_zero_complement():
+    rng = np.random.default_rng(3)
+    cone = LowRankCone.from_truth(rng.standard_normal((5, 5)))
+    assert cone.rank == 5
+    assert np.array_equal(cone.sample_perp(rng), np.zeros((5, 5)))
+    for _ in range(50):
+        assert cone.member(cone.sample(rng))
+
+
+def test_sparse_subspace_samples_are_one_normal_draw_on_their_coordinates():
+    cone = SparseCone(support=np.array([1, 4]), dim=6)
+    for sample, coords in ((cone.sample_model, [1, 4]), (cone.sample_perp, [0, 2, 3, 5])):
+        expected = np.zeros(6)
+        expected[coords] = np.random.default_rng(9).standard_normal(len(coords))
+        assert np.array_equal(sample(np.random.default_rng(9)), expected)
+    full = SparseCone(support=np.arange(3), dim=3)
+    assert np.array_equal(full.sample_perp(np.random.default_rng(9)), np.zeros(3))
 
 
 def test_lowrank_projection_idempotent_and_complement_orthogonal():
@@ -263,9 +293,10 @@ def test_cone_expansion_is_stated_once(monkeypatch):
             inside[cone.support] = 1.0
             inside[cone.complement] = 3.0 * cone.support.size / cone.complement.size
         else:
-            # spans plus an orthogonal block of 3 times its nuclear norm
+            # spans plus a complement element of 3 times their nuclear norm
             inside = cone.col_basis @ cone.row_basis.T
-            inside += 3.0 * cone.rank * cone.col_perp[:, :1] @ cone.row_perp[:, :1].T
+            perp = cone.sample_perp(np.random.default_rng(0))
+            inside += 3.0 * cone.rank * perp / cone.reg_norm(perp)
         assert cone.reg_norm(inside) == pytest.approx(4.0 * cone.projection_norm(inside))
         assert cone.member(inside)
         monkeypatch.setattr(verification, "CONE_EXPANSION", 2.0)
@@ -547,12 +578,13 @@ def test_concentration_validation():
 # assembled certificates
 
 
-def test_certificate_params_validation():
-    with pytest.raises(ValueError):
-        CertificateParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        CertificateParams(alpha=1.5)
-    assert CertificateParams(alpha=1.0).alpha == 1.0
+def test_certificate_alpha_validation():
+    prob = noiseless_regression(300, 6, 2, seed=35)
+    kind = problem_kind(prob, EstimatorConstants(gamma_scale=5.0))
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            assemble_certificate(kind, prob.beta_star, alpha)
+    assert assemble_certificate(kind, prob.beta_star, 1.0).conditions["decomposability"]
 
 
 def test_certificate_regression_in_regime():
@@ -562,9 +594,7 @@ def test_certificate_regression_in_regime():
     beta_hat, _ = estimate_sparse_regression(
         prob, constants, SolverConfig(max_iters=20000, rel_tol=1e-7)
     )
-    cert = assemble_certificate(
-        problem_kind(prob, constants), beta_hat, CertificateParams(alpha=0.9, seed=1)
-    )
+    cert = assemble_certificate(problem_kind(prob, constants), beta_hat, 0.9, seed=1)
     assert isinstance(cert, MetaCertificate)
     assert set(cert.conditions) == set(CONDITION_NAMES)
     assert cert.all_conditions()
@@ -581,9 +611,7 @@ def test_certificate_pca_in_regime():
     prob = make_pca_instance(60, 1, noise, 1.0, seed=434343, l_scale=0.5)
     constants = EstimatorConstants(gamma_scale=2.0)
     L_hat, _ = estimate_pca(prob, constants, SolverConfig(max_iters=1500, rel_tol=1e-5))
-    cert = assemble_certificate(
-        problem_kind(prob, constants), L_hat, CertificateParams(alpha=0.9, seed=2)
-    )
+    cert = assemble_certificate(problem_kind(prob, constants), L_hat, 0.9, seed=2)
     assert set(cert.conditions) == set(CONDITION_NAMES)
     assert cert.conditions["decomposability"]
     assert cert.conditions["contraction"]
@@ -613,9 +641,7 @@ def test_certificate_builds_the_estimator_objective_once_per_kind(monkeypatch):
     for prob, truth, build in ((reg, reg.beta_star, "build_regression_composite"),
                                (pca, pca.L_star, "build_pca_composite")):
         before = dict(calls)
-        assemble_certificate(
-            problem_kind(prob, constants), truth, CertificateParams(alpha=0.9, seed=1)
-        )
+        assemble_certificate(problem_kind(prob, constants), truth, 0.9, seed=1)
         assert calls[build] - before[build] == 1
         assert sum(calls[k] - before[k] for k in calls if k.startswith("build")) == 1
         assert calls["estimate_rsc"] - before["estimate_rsc"] >= 2
@@ -630,9 +656,7 @@ def test_certificate_pca_radius_beyond_the_box_is_vacuous():
     prob = make_pca_instance(20, 1, noise, 1.0, seed=1, l_scale=0.5)
     constants = EstimatorConstants(gamma_scale=2.0)
     L_hat, _ = estimate_pca(prob, constants, SolverConfig(max_iters=1500, rel_tol=1e-5))
-    cert = assemble_certificate(
-        problem_kind(prob, constants), L_hat, CertificateParams(alpha=0.2, seed=1)
-    )
+    cert = assemble_certificate(problem_kind(prob, constants), L_hat, 0.2, seed=1)
     feasible_diameter = np.linalg.norm(prob.rho_over_n + np.abs(prob.L_star))
     assert cert.radius_formula_ok
     assert cert.R > feasible_diameter
@@ -658,7 +682,8 @@ def test_certificate_on_the_box_boundary_fails_before_sampling(monkeypatch):
         assemble_certificate(
             problem_kind(prob, EstimatorConstants(gamma_scale=2.0)),
             prob.L_star,
-            CertificateParams(alpha=0.9, seed=3),
+            0.9,
+            seed=3,
         )
     assert drawn == []
 
@@ -675,7 +700,8 @@ def test_certificate_fails_when_all_residuals_clip():
     cert = assemble_certificate(
         problem_kind(shifted, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
-        CertificateParams(alpha=0.9, seed=3),
+        0.9,
+        seed=3,
     )
     assert not cert.conditions["restricted_convexity"]
     assert not cert.conditions["radius_bound"]
@@ -690,7 +716,8 @@ def test_certificate_zero_gradient_collapses_radius():
     cert = assemble_certificate(
         problem_kind(prob, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
-        CertificateParams(alpha=0.9, seed=5),
+        0.9,
+        seed=5,
     )
     assert cert.gamma_measured == 0.0
     assert cert.R == 0.0
@@ -703,13 +730,9 @@ def test_certificate_zero_gradient_collapses_radius():
 def test_certificate_requires_truth():
     prob = RegressionProblem(X=np.eye(4), y=np.ones(4))
     with pytest.raises(ValueError):
-        assemble_certificate(
-            problem_kind(prob, EstimatorConstants()), np.zeros(4), CertificateParams(alpha=0.5)
-        )
+        assemble_certificate(problem_kind(prob, EstimatorConstants()), np.zeros(4), 0.5)
     with pytest.raises(TypeError):
-        assemble_certificate(
-            problem_kind("nope", EstimatorConstants()), np.zeros(4), CertificateParams(alpha=0.5)
-        )
+        assemble_certificate(problem_kind("nope", EstimatorConstants()), np.zeros(4), 0.5)
 
 
 def test_certificate_report_format():
@@ -717,7 +740,8 @@ def test_certificate_report_format():
     cert = assemble_certificate(
         problem_kind(prob, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
-        CertificateParams(alpha=0.9, seed=4),
+        0.9,
+        seed=4,
     )
     report = cert.to_report()
     assert report.endswith("\n")
@@ -749,9 +773,7 @@ def test_certificate_report_key_order():
         ]),
     ]
     for prob, truth, constants, measured in cases:
-        cert = assemble_certificate(
-            problem_kind(prob, constants), truth, CertificateParams(alpha=0.9, seed=4)
-        )
+        cert = assemble_certificate(problem_kind(prob, constants), truth, 0.9, seed=4)
         pairs = [ln.split(" = ") for ln in cert.to_report().splitlines()]
         assert [key for key, _ in pairs] == conditions + measured + flags
         assert {value for key, value in pairs if key in conditions + flags} <= {"0", "1"}

@@ -94,8 +94,7 @@ class RegressionProblem:
             if self.support is None:
                 self.support = np.flatnonzero(self.beta_star)
             self.support = np.asarray(self.support, dtype=int)
-            off = np.setdiff1d(np.arange(d), self.support)
-            if off.size and np.any(self.beta_star[off] != 0):
+            if np.any(self.beta_star[_support_complement(self.support, d)] != 0):
                 raise ValueError("beta_star has mass outside the declared support")
             if self.k is None:
                 self.k = int(self.support.size)
@@ -189,6 +188,21 @@ def _check_regression_d(d: int) -> None:
     scales with sqrt(log d)."""
     if d < 2:
         raise ValueError("regression requires d >= 2")
+
+
+def _support_complement(support, d: int) -> np.ndarray:
+    """The sorted indices of [0, d) outside an integer support, whose indices
+    must lie in [0, d), each at most once: np.setdiff1d(np.arange(d),
+    support) from a boolean mask, without the np.unique that imports
+    numpy.ma."""
+    support = np.asarray(support, dtype=int)
+    if support.size and (support.min() < 0 or support.max() >= d):
+        raise ValueError(f"support indices must lie in [0, {d})")
+    in_support = np.zeros(d, dtype=bool)
+    in_support[support] = True
+    if np.count_nonzero(in_support) != support.size:
+        raise ValueError("support has a repeated index")
+    return np.flatnonzero(~in_support)
 
 
 def _active_set_newton(X, h, gamma):

@@ -32,7 +32,6 @@ import csv
 import itertools
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import log
@@ -444,6 +443,9 @@ def _trial_map(threads):
     if not (threads and threads > 1):
         yield map
         return
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         try:
             yield pool.map

@@ -440,7 +440,11 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
     step change (which changes the map) clear the memory, and the step after
     a clear, like one whose gamma cannot be solved for, is the plain one.
     Every evaluation, rejected or not, is one iteration and one prox call.
-    The memory's 2m arrays are allocated once, at its first use.
+    The memory's 2m arrays are allocated once, at its first use.  x_b is
+    always the box clip of z (a step change rescales z about x_b, which
+    leaves its clip alone), so the solve frees x_b while the prox runs and
+    clips z again after it: during the prox call it holds 2m + 2 arrays of
+    the iterate's shape, the memory's, z and the prox argument.
 
     Stops when ||x_a - x_b|| / (step * max(1, ||x_b||)) <= rel_tol.  Returns
     the last box projection x_b = project(T z), which the splitting converges
@@ -472,7 +476,10 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
         g_b += x_b
         g_b += x_b
         g_b -= z
+        del x_b
         f = problem.prox(g_b, step)
+        del g_b
+        x_b = np.clip(z, -ball.radius, ball.radius)  # equal to the x_b just freed
         f -= x_b  # x_a - x_b
         primal = float(np.linalg.norm(f.ravel()))
         accepted = primal_from is None or primal <= SAFEGUARD_FACTOR * primal_from
@@ -494,9 +501,9 @@ def solve_split(problem: CompositeProblem, config: SolverConfig, start) -> Solve
             rejected += 1
             z = history.restore(z)
         del f  # the history holds its own copy: free this one before the next prox call
-        x_next = project_maxnorm(z, ball)
-        dual = float(np.linalg.norm((x_next - x_b).ravel())) / step
-        x_b = x_next
+        x_prev, x_b = x_b, project_maxnorm(z, ball)
+        dual = float(np.linalg.norm((x_b - x_prev).ravel())) / step
+        del x_prev  # x_b alone may hold the new clip, so that the next prox call frees it
         f_b, g_b = _value_and_grad(problem, x_b)
         if not np.isfinite(f_b):
             raise SolverDiverged(f"smooth value non-finite at iteration {iterations}")

@@ -38,6 +38,7 @@ from .estimators import (
     EstimatorConstants,
     PcaProblem,
     RegressionProblem,
+    _support_complement,
     build_pca_composite,
     build_regression_composite,
 )
@@ -104,9 +105,7 @@ class SparseCone:
         self.support = np.asarray(self.support, dtype=int)
         if self.support.size == 0:
             raise ValueError("support must be nonempty")
-        if self.support.min() < 0 or self.support.max() >= self.dim:
-            raise ValueError("support indices out of range")
-        self.complement = np.setdiff1d(np.arange(self.dim), self.support)
+        self.complement = _support_complement(self.support, self.dim)
 
     def reg_norm(self, u) -> float:
         return float(np.sum(np.abs(u)))
@@ -190,16 +189,17 @@ class LowRankCone:
 
     def projection_norm(self, M) -> float:
         M = np.asarray(M, dtype=float)
-        return self._omega_bar_norm(self.project_omega_bar(M), M)
+        return self._omega_bar_norm(self.project_omega_bar(M), M @ self.row_basis)
 
-    def _omega_bar_norm(self, A, M) -> float:
-        """||A||_* for A = project_omega_bar(M).
+    def _omega_bar_norm(self, A, W) -> float:
+        """||A||_* for an A whose columns lie in span[U, W], W n x r: for
+        A = project_omega_bar(M), W = M V.
 
-        A has rank <= 2r and its columns lie in span[U, M V], so with Q the
-        orthonormal factor of [U, M V], ||A||_* = ||Q^T A||_*: the SVD of a
-        2r x n matrix instead of an n x n one.
+        A has rank <= 2r, so with Q the orthonormal factor of [U, W],
+        ||A||_* = ||Q^T A||_*: the SVD of a 2r x n matrix instead of an
+        n x n one.
         """
-        Q, _ = np.linalg.qr(np.hstack([self.col_basis, M @ self.row_basis]))
+        Q, _ = np.linalg.qr(np.hstack([self.col_basis, W]))
         return nuclear_norm(Q.T @ A)
 
     def member(self, M) -> bool:
@@ -211,8 +211,14 @@ class LowRankCone:
         if mode < 0.1:
             # pure low-rank element of the spans themselves
             return self.sample_model(rng)
-        M = rng.standard_normal((n, n))
-        A = self.project_omega_bar(M)
+        # A = U X + (I - UU^T) Y V^T for standard Gaussian X (r x n) and
+        # Y (n x r) has the law of project_omega_bar(M) = U (U^T M) +
+        # (I - UU^T)(M V) V^T for a standard Gaussian n x n M, whose U^T M
+        # and (I - UU^T) M V are independent; it draws 2rn normals, not n^2
+        U, V = self.col_basis, self.row_basis
+        A = U @ rng.standard_normal((self.rank, n))
+        Y = rng.standard_normal((n, self.rank))
+        A += (Y - U @ (U.T @ Y)) @ V.T
         if self.rank == n or mode < 0.3:
             return A
         B = self.sample_perp(rng)
@@ -221,7 +227,7 @@ class LowRankCone:
             return A
         t = 1.0 if mode < 0.5 else rng.random()
         # triangle inequality keeps A + cB inside the cone for this c
-        c = t * (CONE_EXPANSION - 1.0) * self._omega_bar_norm(A, M) / norm_B
+        c = t * (CONE_EXPANSION - 1.0) * self._omega_bar_norm(A, Y) / norm_B
         return A + c * B
 
     def sample_model(self, rng) -> np.ndarray:
@@ -382,7 +388,7 @@ def check_re_property(
     support = np.asarray(support, dtype=int)
     if support.size == 0:
         raise ValueError("support must be nonempty")
-    complement = np.setdiff1d(np.arange(d), support)
+    complement = _support_complement(support, d)
     lam = np.inf
     for j in range(min(trials, support.size)):
         col = X[:, support[j]]
@@ -399,13 +405,12 @@ def check_re_property(
         if d > 12:
             raise ValueError("exact enumeration supported only for d <= 12")
         G = X.T @ X / n
-        in_support = np.isin(np.arange(d), support)
         for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=d):
             u = np.array(pattern)
             l1 = np.sum(np.abs(u))
             if l1 == 0:
                 continue
-            if np.sum(np.abs(u[in_support])) < RE_CONE_FRACTION * l1:
+            if np.sum(np.abs(u[support])) < RE_CONE_FRACTION * l1:
                 continue
             lam = min(lam, float(u @ G @ u) / float(u @ u))
     return float(lam)
@@ -419,7 +424,7 @@ def check_well_spread(X, support, m: int, trials: int, seed: int) -> bool:
     if not (0 <= m < n):
         raise ValueError("need 0 <= m < n")
     support = np.asarray(support, dtype=int)
-    complement = np.setdiff1d(np.arange(d), support)
+    complement = _support_complement(support, d)
     for i in range(trials):
         rng = stream_rng(seed, _T_SPREAD, i)
         u = _re_cone_sample(support, complement, rng)

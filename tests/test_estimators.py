@@ -293,6 +293,15 @@ def test_problem_validation():
     beta = np.array([1.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=beta, support=np.array([0]))
+    # supports that cover beta's mass but hold an index outside [0, d) or a
+    # repeated one: 7 would index past a mask, -1 would wrap to d - 1, and
+    # [0, 0] would give k = 2
+    e0 = np.array([1.0, 0.0, 0.0])
+    for support in ([0, 7], [0, -1]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+            RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=e0, support=support)
+    with pytest.raises(ValueError, match="repeated index"):
+        RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=e0, support=[0, 0])
     with pytest.raises(ValueError):
         PcaProblem(Y=np.zeros((2, 3)), rho_over_n=1.0, zeta=0.0)
     with pytest.raises(ValueError):

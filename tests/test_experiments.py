@@ -1298,3 +1298,27 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_serial_run_loads_neither_the_pool_nor_numpy_ma():
+    # the pool is imported only for threads > 1, and support complements come
+    # from a boolean mask, not np.setdiff1d, whose np.unique imports numpy.ma
+    code = (
+        "import dataclasses, sys\n"
+        "from robust_huber.experiments import ExperimentSpec, run_experiment\n"
+        "for path in sys.argv[1:]:\n"
+        "    spec = ExperimentSpec.from_config(path)\n"
+        "    grid = {key: list(values)[:1] for key, values in spec.grid.items()}\n"
+        "    spec = dataclasses.replace(spec, grid=grid, trials_per_point=1)\n"
+        "    [row] = run_experiment(spec)\n"
+        "    assert not row.error, row.error\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', 'numpy.ma')"
+        " if m in sys.modules))"
+    )
+    configs = [str(CONFIG_DIR / name) for name in ("accept04_regression_n.ini", "accept05_pca_n.ini")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *configs], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -856,8 +856,10 @@ def test_split_allocates_its_memory_once():
     # (numpy's first calls allocate caches of their own).  The traced peak of
     # solve_split does not grow with the iterations, and the memory of m pairs
     # adds at most the 2 (m - 1) n x n arrays of its extra pairs to the peak
-    # of the memory-1 step it replaced, 9.1 arrays.  The slack of 1/16 of an
-    # array covers the Gram and the interpreter's own allocations.
+    # of the memory-1 step it replaced, 9.1 arrays, less the x_b that the
+    # solve frees while the prox runs (the peak was 13.04 arrays with it held,
+    # 12.04 without, at m = 3).  The slack of 1/16 of an array covers the
+    # Gram and the interpreter's own allocations.
     spec, problem = _pca_config_instance("accept05_pca_n.ini", None, 0, 0, n=100)
     composite, _ = build_pca_composite(problem, spec.constants)
     start = project_maxnorm(problem.Y, composite.constraint)
@@ -875,7 +877,7 @@ def test_split_allocates_its_memory_once():
     peak(5)
     short, long = peak(20), peak(200)
     assert abs(long - short) <= array / 16
-    assert long <= (9.1 + 2 * (solver.ANDERSON_MEMORY - 1) + 1 / 16) * array
+    assert long <= (8.1 + 2 * (solver.ANDERSON_MEMORY - 1) + 1 / 16) * array
 
 
 def test_split_recovers_from_a_transient_step_halving(monkeypatch):

@@ -63,6 +63,8 @@ def test_sparse_cone_validation():
         SparseCone(support=np.array([4]), dim=4)
     with pytest.raises(ValueError):
         SparseCone(support=np.array([-1]), dim=4)
+    with pytest.raises(ValueError, match="repeated index"):
+        SparseCone(support=np.array([1, 1]), dim=4)
 
 
 def test_lowrank_cone_from_truth_detects_rank():
@@ -90,6 +92,39 @@ def test_lowrank_cone_samples_are_members():
     for _ in range(300):
         M = cone.sample(rng)
         assert cone.member(M)
+
+
+def test_lowrank_cone_tangent_draw_has_the_law_of_a_projected_gaussian():
+    # sample draws its tangent part A from 2rn normals in place of
+    # project_omega_bar(M) for a Gaussian n x n M.  In the bases [U, U_perp]
+    # and [V, V_perp] the latter has independent standard normal coordinates
+    # on U^T M [V, V_perp] and U_perp^T M V, and none on U_perp^T M V_perp
+    class TangentMode:  # an rng whose uniform draw picks sample's tangent-only branch
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self):
+            return 0.2
+
+        def standard_normal(self, size):
+            return self.rng.standard_normal(size)
+
+    n, r = 12, 2
+    rng = np.random.default_rng(6)
+    cone = LowRankCone.from_truth(rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
+    U, V = cone.col_basis, cone.row_basis
+    U_perp = np.linalg.svd(U, full_matrices=True)[0][:, r:]
+    V_perp = np.linalg.svd(V, full_matrices=True)[0][:, r:]
+    V_full = np.hstack([V, V_perp])
+    coords = []
+    for _ in range(500):
+        A = cone.sample(TangentMode(rng))
+        assert np.abs(U_perp.T @ A @ V_perp).max() <= 1e-12
+        coords.append(np.concatenate([(U.T @ A @ V_full).ravel(), (U_perp.T @ A @ V).ravel()]))
+    coords = np.array(coords)
+    assert coords.shape[1] == r * n + (n - r) * r
+    assert np.abs(coords.mean(axis=0)).max() < 0.25
+    assert np.abs(np.cov(coords.T) - np.eye(coords.shape[1])).max() < 0.3
 
 
 def test_lowrank_cone_requires_orthonormal_basis():

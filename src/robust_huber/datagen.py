@@ -131,14 +131,14 @@ def gen_gaussian_design(n: int, d: int, sigma, seed: int) -> np.ndarray:
     return rng.standard_normal((n, d)) @ chol.T
 
 
-def gen_sparse_signal(d: int, spec: SignalSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random support of size k, entries +-magnitude; returns (beta, support)."""
+def gen_sparse_signal(d: int, spec: SignalSpec, seed: int) -> np.ndarray:
+    """beta with a random support of size k and entries +-magnitude there."""
     _check_signal(d, spec)
     rng = stream_rng(seed, _SIGNAL)
     support = np.sort(rng.choice(d, size=spec.k, replace=False))
     beta = np.zeros(d)
     beta[support] = spec.magnitude * (2 * rng.integers(0, 2, size=spec.k) - 1)
-    return beta, support
+    return beta
 
 
 def _check_signal(d: int, spec: SignalSpec) -> None:
@@ -292,7 +292,7 @@ def gen_matrix_completion_scenario(
     inlier = rng.uniform(-zeta, zeta, size=(n, n))
     signs = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
     N = np.where(observed, inlier, hidden_magnitude * signs)
-    return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=zeta, L_star=L, r=r)
+    return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=zeta, L_star=L)
 
 
 def check_matrix_completion_scenario(n: int, r: int, alpha: float, zeta: float,
@@ -320,11 +320,9 @@ def make_regression_instance(
     """
     check_regression_instance(n, d, signal, noise)
     X = gen_gaussian_design(n, d, sigma, seed)
-    beta, support = gen_sparse_signal(d, signal, seed)
+    beta = gen_sparse_signal(d, signal, seed)
     eta = gen_oblivious_noise_vector(n, noise, seed)
-    return RegressionProblem(
-        X=X, y=X @ beta + eta, beta_star=beta, support=support, k=signal.k
-    )
+    return RegressionProblem(X=X, y=X @ beta + eta, beta_star=beta)
 
 
 def check_regression_instance(n: int, d: int, signal: SignalSpec, noise: NoiseSpec) -> None:
@@ -375,7 +373,7 @@ def make_pca_instance(
         N = gen_lb_noise(n, r, lb_xi_of_alpha(n, r, noise.alpha), seed)
     else:
         N = gen_oblivious_noise_vector(n * n, noise, seed).reshape(n, n)
-    return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=noise.zeta, L_star=L, r=r)
+    return PcaProblem(Y=L + N, rho_over_n=rho_over_n, zeta=noise.zeta, L_star=L)
 
 
 def check_pca_instance(n: int, r: int, noise: NoiseSpec, rho_over_n: float,

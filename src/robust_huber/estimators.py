@@ -39,7 +39,7 @@ import numpy as np
 # huber_loss and huber_loss_grad are unused here but stay bound: the per-layer
 # tracer in perfbench/layers.py wraps estimators.huber_loss and .huber_loss_grad
 from .huber import HuberParams, huber_loss, huber_loss_and_grad, huber_loss_grad  # noqa: F401
-from .prox import MaxNormBall, nuclear_norm, prox_l1, prox_nuclear, project_maxnorm
+from .prox import MaxNormBall, _finite_array, nuclear_norm, prox_l1, prox_nuclear, project_maxnorm
 from .solver import (
     CompositeProblem,
     SolveResult,
@@ -67,39 +67,33 @@ REGRESSION_HUBER_H = 2.0
 
 @dataclass
 class RegressionProblem:
-    """Design X (n x d), response y, optional ground truth and design metadata."""
+    """Design X (n x d), response y and an optional ground truth beta_star,
+    whose nonzero entries give the support and k (None without a truth)."""
 
     X: np.ndarray
     y: np.ndarray
     beta_star: Optional[np.ndarray] = None
-    support: Optional[np.ndarray] = None
-    k: Optional[int] = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        self.X = _finite_array(self.X, "X")
+        self.y = _finite_array(self.y, "y")
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-d, got shape {self.X.shape}")
         n, d = self.X.shape
         if self.y.shape != (n,):
             raise ValueError(f"y must have shape ({n},), got {self.y.shape}")
-        if not np.all(np.isfinite(self.X)):
-            raise ValueError("X must be finite")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("y must be finite")
         if self.beta_star is not None:
-            self.beta_star = np.asarray(self.beta_star, dtype=float)
+            self.beta_star = _finite_array(self.beta_star, "beta_star")
             if self.beta_star.shape != (d,):
                 raise ValueError("beta_star must have shape (d,)")
-            if self.support is None:
-                self.support = np.flatnonzero(self.beta_star)
-            self.support = np.asarray(self.support, dtype=int)
-            if np.any(self.beta_star[_support_complement(self.support, d)] != 0):
-                raise ValueError("beta_star has mass outside the declared support")
-            if self.k is None:
-                self.k = int(self.support.size)
-            if self.k != self.support.size:
-                raise ValueError("k inconsistent with support size")
+
+    @property
+    def support(self) -> Optional[np.ndarray]:
+        return None if self.beta_star is None else np.flatnonzero(self.beta_star)
+
+    @property
+    def k(self) -> Optional[int]:
+        return None if self.beta_star is None else int(np.count_nonzero(self.beta_star))
 
     @property
     def n(self) -> int:
@@ -120,35 +114,28 @@ class RegressionProblem:
 
 @dataclass
 class PcaProblem:
-    """Observation Y = L* + N (n x n), box level rho/n, inlier width zeta."""
+    """Observation Y = L* + N (n x n), box level rho/n, inlier width zeta and
+    an optional ground truth L_star; the certificate reads L*'s rank off it."""
 
     Y: np.ndarray
     rho_over_n: float
     zeta: float
     L_star: Optional[np.ndarray] = None
-    r: Optional[int] = None
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=float)
+        self.Y = _finite_array(self.Y, "Y")
         if self.Y.ndim != 2 or self.Y.shape[0] != self.Y.shape[1]:
             raise ValueError(f"Y must be square, got shape {self.Y.shape}")
-        if not np.all(np.isfinite(self.Y)):
-            raise ValueError("Y must be finite")
         if not (np.isfinite(self.rho_over_n) and self.rho_over_n > 0):
             raise ValueError("rho_over_n must be positive")
         if not (np.isfinite(self.zeta) and self.zeta >= 0):
             raise ValueError("zeta must be >= 0")
         if self.L_star is not None:
-            self.L_star = np.asarray(self.L_star, dtype=float)
+            self.L_star = _finite_array(self.L_star, "L_star")
             if self.L_star.shape != self.Y.shape:
                 raise ValueError("L_star must match Y's shape")
             if np.max(np.abs(self.L_star)) > self.rho_over_n * (1 + 1e-12):
                 raise ValueError("L_star violates the max-norm bound rho/n")
-            if self.r is not None:
-                s = np.linalg.svd(self.L_star, compute_uv=False)
-                tol = 1e-8 * max(1.0, s[0] if s.size else 0.0)
-                if int(np.sum(s > tol)) > self.r:
-                    raise ValueError("L_star has rank above the declared r")
 
     @property
     def n(self) -> int:
@@ -188,21 +175,6 @@ def _check_regression_d(d: int) -> None:
     scales with sqrt(log d)."""
     if d < 2:
         raise ValueError("regression requires d >= 2")
-
-
-def _support_complement(support, d: int) -> np.ndarray:
-    """The sorted indices of [0, d) outside an integer support, whose indices
-    must lie in [0, d), each at most once: np.setdiff1d(np.arange(d),
-    support) from a boolean mask, without the np.unique that imports
-    numpy.ma."""
-    support = np.asarray(support, dtype=int)
-    if support.size and (support.min() < 0 or support.max() >= d):
-        raise ValueError(f"support indices must lie in [0, {d})")
-    in_support = np.zeros(d, dtype=bool)
-    in_support[support] = True
-    if np.count_nonzero(in_support) != support.size:
-        raise ValueError("support has a repeated index")
-    return np.flatnonzero(~in_support)
 
 
 def _active_set_newton(X, h, gamma):

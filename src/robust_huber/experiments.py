@@ -662,7 +662,7 @@ def _phase_checks(p, rows):
         ("phase_low_alpha", lo <= 0.5, f"success {lo:.3f} <= 0.5"),
         ("phase_high_alpha", hi >= 0.9, f"success {hi:.3f} >= 0.9"),
     ]
-    worst = ""
+    drops = []
     for a, b in zip(alphas, alphas[1:]):
         (pa, ta), (pb, tb) = fracs[a], fracs[b]
         # Laplace-smoothed binomial sigmas so endpoint fractions of
@@ -670,9 +670,11 @@ def _phase_checks(p, rows):
         sa = np.sqrt((pa * (1 - pa) + 1.0 / (ta + 2)) / ta)
         sb = np.sqrt((pb * (1 - pb) + 1.0 / (tb + 2)) / tb)
         slack = 2.0 * np.hypot(sa, sb)
-        if pb < pa - slack:
-            worst = f"drop {pa:.3f} -> {pb:.3f} at alpha {a:.4g} -> {b:.4g} exceeds 2 sigma {slack:.3f}"
-    out.append(("phase_monotone", not worst, worst or "within 2 sigma"))
+        # the excess (pa - slack) - pb is > 0 exactly where pb < pa - slack
+        drops.append(((pa - slack) - pb, f"drop {pa:.3f} -> {pb:.3f} at alpha {a:.4g} -> "
+                                         f"{b:.4g} exceeds 2 sigma {slack:.3f}"))
+    excess, worst = max(drops, key=lambda drop: drop[0])  # the first of equal excesses
+    out.append(("phase_monotone", bool(excess <= 0), worst if excess > 0 else "within 2 sigma"))
     return out
 
 

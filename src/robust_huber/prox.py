@@ -59,8 +59,8 @@ def prox_nuclear(M, threshold: float):
     Computed from one symmetric eigendecomposition of the smaller Gram matrix,
     A^T A = V diag(sigma^2) V^T with A = M or M^T: the result is
     (A V_k) diag((sigma - threshold)/sigma) V_k^T over the k singular values
-    above the threshold.  A zero threshold, or sigma_1 above
-    GRAM_MAX_SV_RATIO * threshold, takes the full SVD instead.
+    above the threshold.  sigma_1 above GRAM_MAX_SV_RATIO * threshold takes
+    the full SVD instead; a zero threshold returns a copy of M.
     """
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
@@ -68,7 +68,7 @@ def prox_nuclear(M, threshold: float):
     if M.ndim != 2:
         raise ValueError(f"M must be a matrix, got shape {M.shape}")
     if threshold == 0 or M.size == 0:
-        return _prox_nuclear_svd(M, threshold)
+        return M.copy()
     wide = M.shape[0] < M.shape[1]
     A = M.T if wide else M
     try:
@@ -90,7 +90,7 @@ def prox_nuclear(M, threshold: float):
 
 
 def _prox_nuclear_svd(M, threshold: float):
-    """prox_nuclear from a full SVD of a checked matrix M."""
+    """prox_nuclear from a full SVD of a checked, nonempty matrix M."""
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
@@ -98,8 +98,7 @@ def _prox_nuclear_svd(M, threshold: float):
             f"SVD failed in prox_nuclear: shape={M.shape}, fro={np.linalg.norm(M):.6g}: {exc}"
         ) from exc
     s = np.maximum(s - threshold, 0.0)
-    if s.size and s[0] > 0:
-        s[s <= SV_ZERO_REL_TOL * s[0]] = 0.0
+    s[s <= SV_ZERO_REL_TOL * s[0]] = 0.0
     return (U * s) @ Vt
 
 

@@ -38,7 +38,6 @@ from .estimators import (
     EstimatorConstants,
     PcaProblem,
     RegressionProblem,
-    _support_complement,
     build_pca_composite,
     build_regression_composite,
 )
@@ -92,6 +91,21 @@ CONE_EXPANSION = 4.0
 # both cones' member test (and so the cone_membership flag) allows this relative
 # slack, so a direction on a cone's boundary passes despite rounding in its norms
 MEMBER_RTOL = 1e-6
+
+
+def _support_complement(support, d: int) -> np.ndarray:
+    """The sorted indices of [0, d) outside an integer support, whose indices
+    must lie in [0, d), each at most once: np.setdiff1d(np.arange(d),
+    support) from a boolean mask, without the np.unique that imports
+    numpy.ma."""
+    support = np.asarray(support, dtype=int)
+    if support.size and (support.min() < 0 or support.max() >= d):
+        raise ValueError(f"support indices must lie in [0, {d})")
+    in_support = np.zeros(d, dtype=bool)
+    in_support[support] = True
+    if np.count_nonzero(in_support) != support.size:
+        raise ValueError("support has a repeated index")
+    return np.flatnonzero(~in_support)
 
 
 @dataclass
@@ -156,18 +170,19 @@ class LowRankCone:
     row_basis: np.ndarray  # n x r, orthonormal columns: V
 
     def __post_init__(self):
+        shape, row_shape = np.shape(self.col_basis), np.shape(self.row_basis)
+        if len(shape) != 2 or shape[1] < 1 or row_shape != shape:
+            raise ValueError(f"bases must both be n x r with r >= 1, got {shape} and {row_shape}")
         for name, B in (("col_basis", self.col_basis), ("row_basis", self.row_basis)):
             if not np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-8):
                 raise ValueError(f"{name} must have orthonormal columns")
 
     @classmethod
-    def from_truth(cls, L_star, r: Optional[int] = None):
-        L_star = np.asarray(L_star, dtype=float)
-        U, s, Vt = np.linalg.svd(L_star)
+    def from_truth(cls, L_star):
+        """The spans of L_star's singular vectors above 1e-12 sigma_1 (its rank)."""
+        U, s, Vt = np.linalg.svd(np.asarray(L_star, dtype=float))
         tol = 1e-12 * (s[0] if s.size and s[0] > 0 else 1.0)
         rank = int(np.sum(s > tol))
-        if r is not None:
-            rank = min(rank, r)
         if rank == 0:
             raise ValueError("L_star is numerically zero; spans undefined")
         return cls(col_basis=U[:, :rank].copy(), row_basis=Vt[:rank].T.copy())
@@ -611,12 +626,13 @@ def problem_kind(problem, constants: EstimatorConstants = EstimatorConstants()) 
             L_star, rho_over_n = problem.L_star, problem.rho_over_n
 
             def pca_geometry(seed):
-                if L_star is None or problem.r is None:
-                    raise ValueError("certificate requires ground truth with rank metadata")
+                if L_star is None:
+                    raise ValueError("certificate requires ground truth")
+                cone = LowRankCone.from_truth(L_star)
                 gap = rho_over_n - float(np.max(np.abs(L_star)))
                 return _Geometry(
-                    LowRankCone.from_truth(L_star, r=problem.r),
-                    CONE_EXPANSION * np.sqrt(2.0 * problem.r),
+                    cone,
+                    CONE_EXPANSION * np.sqrt(2.0 * cone.rank),
                     None,
                     radius_cap=0.8 * gap * problem.n / 4.5 if gap > 0 else 0.0,
                     # largest Frobenius distance reachable inside the box from

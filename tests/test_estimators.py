@@ -32,7 +32,7 @@ def test_noiseless_regression_interpolates():
     X = rng.standard_normal((40, 6))
     beta = np.zeros(6)
     beta[[1, 4]] = [2.0, -1.0]
-    problem = RegressionProblem(X=X, y=X @ beta, beta_star=beta, support=np.array([1, 4]))
+    problem = RegressionProblem(X=X, y=X @ beta, beta_star=beta)
     est, result = estimate_sparse_regression(
         problem, TINY_GAMMA, SolverConfig(rel_tol=1e-10)
     )
@@ -80,7 +80,7 @@ def test_noiseless_pca_recovers_truth():
     u = np.sign(rng.standard_normal(15))
     v = np.sign(rng.standard_normal(15))
     L = 0.5 * np.outer(u, v)
-    problem = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=0.0, L_star=L, r=1)
+    problem = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=0.0, L_star=L)
     est, result = estimate_pca(
         problem, TINY_GAMMA, SolverConfig(rel_tol=1e-10, max_iters=5000)
     )
@@ -125,7 +125,6 @@ def test_pca_scaling_equivariance():
         rho_over_n=c * base.rho_over_n,
         zeta=c * base.zeta,
         L_star=c * base.L_star,
-        r=base.r,
     )
     cfg = SolverConfig(rel_tol=1e-9, max_iters=4000)
     constants = EstimatorConstants(gamma_scale=1.0)
@@ -183,7 +182,7 @@ def test_error_metrics_match_naive_oracles():
 def test_frobenius_error_examples():
     n = 6
     L = np.zeros((n, n))
-    problem = PcaProblem(Y=L, rho_over_n=1.0, zeta=1.0, L_star=L, r=0)
+    problem = PcaProblem(Y=L, rho_over_n=1.0, zeta=1.0, L_star=L)
     assert frobenius_error(problem, L) == 0.0
     # all-ones/n perturbation has Frobenius norm exactly 1 for an n x n matrix
     assert frobenius_error(problem, L + np.ones((n, n)) / n) == pytest.approx(1.0)
@@ -290,23 +289,22 @@ def test_estimator_constants_validation():
 def test_problem_validation():
     with pytest.raises(ValueError):
         RegressionProblem(X=np.eye(3), y=np.zeros(2))
-    beta = np.array([1.0, 0.0, 2.0])
-    with pytest.raises(ValueError):
-        RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=beta, support=np.array([0]))
-    # supports that cover beta's mass but hold an index outside [0, d) or a
-    # repeated one: 7 would index past a mask, -1 would wrap to d - 1, and
-    # [0, 0] would give k = 2
-    e0 = np.array([1.0, 0.0, 0.0])
-    for support in ([0, 7], [0, -1]):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
-            RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=e0, support=support)
-    with pytest.raises(ValueError, match="repeated index"):
-        RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=e0, support=[0, 0])
+    with pytest.raises(ValueError, match="beta_star must be finite"):
+        RegressionProblem(X=np.eye(3), y=np.zeros(3), beta_star=[np.nan, 0.0, 0.0])
     with pytest.raises(ValueError):
         PcaProblem(Y=np.zeros((2, 3)), rho_over_n=1.0, zeta=0.0)
     with pytest.raises(ValueError):
         PcaProblem(Y=np.zeros((2, 2)), rho_over_n=1.0, zeta=0.0,
                    L_star=np.full((2, 2), 2.0))
-    with pytest.raises(ValueError):
-        PcaProblem(Y=np.zeros((3, 3)), rho_over_n=1.0, zeta=0.0,
-                   L_star=np.eye(3), r=0)
+    with pytest.raises(ValueError, match="L_star must be finite"):
+        PcaProblem(Y=np.zeros((2, 2)), rho_over_n=1.0, zeta=0.0,
+                   L_star=[[np.nan, 0.0], [0.0, 0.0]])
+
+
+def test_regression_support_and_k_are_read_off_the_truth():
+    beta = np.array([0.0, -2.0, 0.0, 1.0])
+    problem = RegressionProblem(X=np.eye(4), y=np.zeros(4), beta_star=beta)
+    assert problem.support.tolist() == [1, 3]
+    assert problem.k == 2
+    bare = RegressionProblem(X=np.eye(4), y=np.zeros(4))
+    assert bare.support is None and bare.k is None

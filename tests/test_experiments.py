@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robust_huber import EstimatorConstants, SolverConfig
+from robust_huber import EstimatorConstants, LowRankCone, RegressionProblem, SolverConfig
 from robust_huber.datagen import VECTOR_NOISE_FAMILIES, trial_seed
 from robust_huber.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from robust_huber import experiments
@@ -142,6 +142,22 @@ def test_from_config_all_shipped_files():
         spec = ExperimentSpec.from_config(CONFIG_DIR / name)
         assert spec.scenario == scenario
         assert spec.grid and spec.trials_per_point >= 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_checked_in_instances_have_the_configured_structure(name):
+    # the certificate's s reads k and the rank off the truth, so the truth a
+    # maker draws must keep the config's k and r: trial 0 of every grid point
+    spec = ExperimentSpec.from_config(CONFIG_DIR / name)
+    for point, trial, p, seed in spec.trials():
+        if trial:
+            continue
+        problem = build_instance(spec, p, seed)
+        p = experiments.SCENARIOS[spec.scenario].resolve(p)
+        if isinstance(problem, RegressionProblem):
+            assert problem.k == p["k"], point
+        else:
+            assert LowRankCone.from_truth(problem.L_star).rank == p["r"], point
 
 
 def test_from_config_field_routing():
@@ -754,6 +770,18 @@ def test_phase_assertions_flag_violations():
     checks = dict_checks(scenario_assertions(phase_spec(), non_monotone))
     assert checks["phase_monotone"] is False
     assert checks["phase_high_alpha"] is False
+
+
+def test_phase_monotone_names_the_largest_drop_beyond_its_slack():
+    # two drops beyond 2 sigma: 1.0 -> 0.0 exceeds its slack by 0.74, the
+    # later 1.0 -> 0.4 by 0.19; the detail names the first
+    fracs = {0.01: 0.0, 0.05: 1.0, 0.1: 0.0, 0.2: 1.0, 0.25: 0.4}
+    spec = dataclasses.replace(phase_spec(), grid={"alpha": list(fracs)}, trials_per_point=10)
+    checks = {name: (ok, detail)
+              for name, ok, detail in scenario_assertions(spec, phase_rows(fracs, trials=10))}
+    ok, detail = checks["phase_monotone"]
+    assert not ok
+    assert detail.startswith("drop 1.000 -> 0.000 at alpha 0.05 -> 0.1 ")
 
 
 def meta_flags(**overrides):

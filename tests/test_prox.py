@@ -178,7 +178,7 @@ def test_prox_nuclear_matches_full_svd(inputs):
     assert diff <= 1e-10 * max(1.0, np.linalg.norm(M))
 
 
-def test_prox_nuclear_takes_full_svd_at_zero_threshold_and_large_ratio(monkeypatch):
+def test_prox_nuclear_takes_full_svd_at_large_ratio_and_none_at_zero_threshold(monkeypatch):
     calls = []
 
     def recording_svd(M, t):
@@ -193,8 +193,12 @@ def test_prox_nuclear_takes_full_svd_at_zero_threshold_and_large_ratio(monkeypat
     expected = np.diag([GRAM_MAX_SV_RATIO - 0.9, 0.1, 0])
     np.testing.assert_allclose(prox_nuclear(M, 0.9), expected, atol=1e-12)
     assert calls == [0.9]
-    prox_nuclear(M, 0.0)
-    assert calls == [0.9, 0.0]
+    # the prox at threshold 0 is the identity, so it keeps a singular value
+    # below SV_ZERO_REL_TOL * sigma_1 that the SVD route would zero
+    for M in (np.diag([1.0, 1e-13]), M):
+        out = prox_nuclear(M, 0.0)
+        assert out is not M and np.array_equal(out, M)
+    assert calls == [0.9]
 
 
 def test_prox_nuclear_rejects_bad_input():

@@ -88,7 +88,7 @@ def test_lowrank_cone_rejects_perp_element():
 def test_lowrank_cone_samples_are_members():
     rng = np.random.default_rng(1)
     L = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 10))
-    cone = LowRankCone.from_truth(L, r=2)
+    cone = LowRankCone.from_truth(L)
     for _ in range(300):
         M = cone.sample(rng)
         assert cone.member(M)
@@ -135,12 +135,21 @@ def test_lowrank_cone_requires_orthonormal_basis():
         LowRankCone(col_basis=good, row_basis=bad)
 
 
+def test_lowrank_cone_requires_bases_of_one_n_by_r_shape():
+    eye = np.eye(4)
+    # U 4x2 with V 4x1 read rank 2 and failed at the first sample_model
+    for U, V in ((eye[:, :2], eye[:, :1]), (eye[:3, :2], eye[:, :2]),
+                 (eye[:, :0], eye[:, :0]), (eye[0], eye[0])):
+        with pytest.raises(ValueError, match="n x r with r >= 1"):
+            LowRankCone(col_basis=U, row_basis=V)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_lowrank_projection_norm_from_rank_2r_factor(r):
     rng = np.random.default_rng(30 + r)
     for n in (4, 12, 40):
         L = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
-        cone = LowRankCone.from_truth(L, r=r)
+        cone = LowRankCone.from_truth(L)
         U, V = cone.col_basis, cone.row_basis
         # a generic matrix, one inside the spans, and one whose M V lies in span U
         for M in (rng.standard_normal((n, n)), U @ rng.standard_normal((r, r)) @ V.T, U @ V.T):
@@ -296,7 +305,7 @@ def test_contraction_exact_lowrank_matrices(monkeypatch):
     rng = np.random.default_rng(3)
     r = 2
     L = rng.standard_normal((10, r)) @ rng.standard_normal((r, 10))
-    cone = LowRankCone.from_truth(L, r=r)
+    cone = LowRankCone.from_truth(L)
     s = measure_contraction(
         cone, lambda M: float(np.linalg.norm(M)), trials=400, seed=4
     )
@@ -307,7 +316,7 @@ def test_contraction_lowrank_cone_within_closed_form_bound():
     rng = np.random.default_rng(5)
     r = 2
     L = rng.standard_normal((10, r)) @ rng.standard_normal((r, 10))
-    cone = LowRankCone.from_truth(L, r=r)
+    cone = LowRankCone.from_truth(L)
     s = measure_contraction(
         cone, lambda M: float(np.linalg.norm(M)), trials=400, seed=6
     )
@@ -358,7 +367,7 @@ def test_gradient_zero_on_noiseless_instances():
     assert measure_gradient_dual_norm(prob) == 0.0
 
     L = np.full((6, 6), 0.5)
-    pca = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L, r=1)
+    pca = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L)
     assert measure_gradient_dual_norm(pca) == 0.0
 
 
@@ -375,7 +384,7 @@ def test_gradient_clipping_regression():
 
 def test_gradient_dual_norm_pca_is_spectral():
     Y = np.diag([5.0, -0.5])
-    pca = PcaProblem(Y=Y, rho_over_n=1.0, zeta=1.0, L_star=np.zeros((2, 2)), r=1)
+    pca = PcaProblem(Y=Y, rho_over_n=1.0, zeta=1.0, L_star=np.zeros((2, 2)))
     # h = zeta + rho/n = 2, so the clipped residual matrix is diag(2, -0.5)
     assert measure_gradient_dual_norm(pca) == pytest.approx(2.0)
 
@@ -437,9 +446,7 @@ def noiseless_regression(n, d, k, seed):
     X = rng.standard_normal((n, d))
     beta = np.zeros(d)
     beta[:k] = 1.0
-    return RegressionProblem(
-        X=X, y=X @ beta, beta_star=beta, support=np.arange(k), k=k
-    )
+    return RegressionProblem(X=X, y=X @ beta, beta_star=beta)
 
 
 def test_rsc_quadratic_regime_regression():
@@ -456,8 +463,8 @@ def test_rsc_quadratic_regime_pca():
     u = np.where(rng.random(12) < 0.5, -1.0, 1.0)
     v = np.where(rng.random(12) < 0.5, -1.0, 1.0)
     L = 0.5 * np.outer(u, v)  # strictly inside the unit box
-    prob = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L, r=1)
-    cone = LowRankCone.from_truth(L, r=1)
+    prob = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L)
+    cone = LowRankCone.from_truth(L)
     kappa = estimate_rsc(problem_kind(prob), cone, radius=1e-3, trials=60, seed=11)
     assert kappa == pytest.approx(1.0, rel=1e-9)
 
@@ -474,13 +481,7 @@ def test_rsc_zero_curvature_when_all_residuals_clip():
     # a constant huge offset puts every residual deep in the linear branch,
     # where the second-order bracket vanishes identically
     prob = noiseless_regression(40, 6, 2, seed=14)
-    shifted = RegressionProblem(
-        X=prob.X,
-        y=prob.y + 1e5,
-        beta_star=prob.beta_star,
-        support=prob.support,
-        k=prob.k,
-    )
+    shifted = RegressionProblem(X=prob.X, y=prob.y + 1e5, beta_star=prob.beta_star)
     cone = SparseCone(prob.support, prob.d)
     kappa = estimate_rsc(problem_kind(shifted), cone, radius=1.0, trials=50, seed=15)
     assert abs(kappa) <= 1e-6
@@ -491,20 +492,14 @@ def test_rsc_sampling_error_beyond_feasible_diameter():
     # so L* + u always leaves the unit box and every sample is rejected
     n = 8
     L = np.outer(np.ones(n), np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
-    prob = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L, r=1)
-    cone = LowRankCone.from_truth(L, r=1)
+    prob = PcaProblem(Y=L.copy(), rho_over_n=1.0, zeta=1.0, L_star=L)
+    cone = LowRankCone.from_truth(L)
     with pytest.raises(RscSamplingError):
         estimate_rsc(problem_kind(prob), cone, radius=20.0, trials=5, seed=16)
 
 
 def test_rsc_zero_prediction_norm_raises():
-    prob = RegressionProblem(
-        X=np.zeros((10, 4)),
-        y=np.zeros(10),
-        beta_star=np.zeros(4),
-        support=np.array([0]),
-        k=1,
-    )
+    prob = RegressionProblem(X=np.zeros((10, 4)), y=np.zeros(10), beta_star=np.zeros(4))
     cone = SparseCone(np.array([0]), 4)
     with pytest.raises(RscSamplingError):
         estimate_rsc(problem_kind(prob), cone, radius=1.0, trials=5, seed=17)
@@ -725,13 +720,7 @@ def test_certificate_on_the_box_boundary_fails_before_sampling(monkeypatch):
 
 def test_certificate_fails_when_all_residuals_clip():
     prob = noiseless_regression(200, 8, 2, seed=34)
-    shifted = RegressionProblem(
-        X=prob.X,
-        y=prob.y + 1e5,
-        beta_star=prob.beta_star,
-        support=prob.support,
-        k=prob.k,
-    )
+    shifted = RegressionProblem(X=prob.X, y=prob.y + 1e5, beta_star=prob.beta_star)
     cert = assemble_certificate(
         problem_kind(shifted, EstimatorConstants(gamma_scale=5.0)),
         prob.beta_star,
